@@ -1,10 +1,12 @@
 """Fleet campaign throughput microbenchmark.
 
 Tracks how much simulated fleet time one wall-clock second buys:
-``devices * sim-hours / s`` for a small-but-representative campaign
-(jittered populations, rogues present, checkpoints written at the
-default fleet cadence).  This is the number that says whether a
-"100 devices for a week" study is an hour or a weekend.
+``devices * sim-hours / s`` for a small campaign (jittered
+populations, rogues present, the default 10-minute checkpoint
+cadence).  Its 0.01-hour (36 s) horizon is shorter than that cadence,
+so no checkpoint is ever written, and process start-up weighs heavily
+in the short run: it is a smoke-scale number, not a representative
+campaign (``perfbench/`` is the representative benchmark).
 
 Every recorded row is self-describing: the label carries the worker
 count, the execution-cache state, and the host CPU count, because all

@@ -16,7 +16,14 @@ the simulator's fast paths:
   superblocks) and dynamically computed indirect pointers (which do
   not, exercising in-block permission revalidation),
 * stores into the program's own code bytes (icache/superblock
-  invalidation), call/ret/push/pop traffic, and forward branches.
+  invalidation), call/ret/push/pop traffic, and forward branches,
+* calls into the linked MiniC runtime (``__udivmod``, ``__mulhi``,
+  ``__divhi``, ``__remhi``) with boundary operands — the loops the
+  simulator replaces with native models — and
+* word stores and stack traffic in the data area linked right after
+  the code (:data:`TAIL_SYMBOL`), on both sides of the generated
+  blocks' inline bus fast path: pages holding cached code take the
+  bus, the pages next to them may not.
 
 Every program is self-terminating by construction (loops count down a
 reserved register, branches only jump forward to anchor labels, the
@@ -50,8 +57,17 @@ SCRATCH_LO = 0x9000
 SCRATCH_HI = 0x9800
 
 #: reserved loop-counter register — never a destination elsewhere,
-#: so counted loops always terminate
+#: so counted loops always terminate (the runtime helpers clobber it,
+#: but no loop body calls them)
 LOOP_REG = 15
+
+#: data area the harness links after the program and the runtime
+TAIL_SYMBOL = "fuzz_tail"
+TAIL_SIZE = 256
+
+#: runtime helpers a program may call, and their boundary operands
+_HELPERS = ("__udivmod", "__mulhi", "__divhi", "__remhi")
+_HELPER_OPERANDS = (0, 1, 0x7FFF, 0x8000, 0xFFFF)
 
 _ALU_OPS = ("MOV", "ADD", "ADDC", "SUB", "SUBC", "CMP", "BIT",
             "AND", "XOR", "BIS", "BIC", "DADD")
@@ -271,6 +287,51 @@ class _Generator:
             else 0x4303                        # NOP encoding
         return [f"    MOV #0x{value:04X}, &0x{CODE_BASE + offset:04X}"]
 
+    def _helper_call(self) -> List[str]:
+        """Call a runtime multiply/divide helper on boundary (or
+        random) operands; divisor 0 is one of the boundaries."""
+        rnd = self.rnd
+        lines = []
+        for register in ("R12", "R13"):
+            if rnd.random() < 0.7:
+                value = rnd.choice(_HELPER_OPERANDS)
+            else:
+                value = rnd.randrange(0x10000)
+            lines.append(f"    MOV #0x{value:04X}, {register}")
+        lines.append(f"    CALL #{rnd.choice(_HELPERS)}")
+        return lines
+
+    def _tail_offset(self) -> int:
+        """An even offset into the tail area, biased to the first
+        bytes (sharing a page with the runtime's code) and to 64-byte
+        page edges (the bus's spill check for code crossing a page)."""
+        rnd = self.rnd
+        if rnd.random() < 0.6:
+            return rnd.choice((0, 2, 4, 60, 62, 64, 66, 68, 126, 128,
+                               130, 132))
+        return rnd.randrange(0, TAIL_SIZE, 2)
+
+    def _store_near_code(self) -> List[str]:
+        rnd = self.rnd
+        offset = self._tail_offset()
+        value = f"#{self._imm()}" if rnd.random() < 0.5 else self._reg()
+        op = "ADD" if rnd.random() < 0.25 else "MOV"
+        if rnd.random() < 0.5:
+            return [f"    {op} {value}, &{TAIL_SYMBOL}+{offset}"]
+        pointer = self._reg()
+        return [f"    MOV #{TAIL_SYMBOL}+{offset}, {pointer}",
+                f"    {op} {value}, 0({pointer})"]
+
+    def _stack_near_code(self) -> List[str]:
+        """Move the stack into the tail area, then push, call and pop
+        there — return addresses land next to (or on) code pages."""
+        rnd = self.rnd
+        lines = [f"    MOV #{TAIL_SYMBOL}+{self._tail_offset() + 64}, SP"]
+        lines += self._push_pop()
+        if rnd.random() < 0.5:
+            lines += self._helper_call()
+        return lines
+
     def _call(self) -> List[str]:
         if self.sub_count == 0:
             return self._alu_reg()
@@ -333,6 +394,8 @@ class _Generator:
             (self._alu_reg, 30), (self._fmt2_reg, 6), (self._load, 14),
             (self._store, 14), (self._push_pop, 8), (self._loop, 8),
             (self._mpu_write, 8), (self._selfmod, 3), (self._call, 5),
+            (self._helper_call, 6), (self._store_near_code, 6),
+            (self._stack_near_code, 2),
         )
         population = [fn for fn, weight in emitters for _ in range(weight)]
 

@@ -26,6 +26,7 @@ from typing import List, Optional, Tuple
 
 from repro.asm.assembler import assemble
 from repro.asm.linker import Linker, LinkScript
+from repro.cc.runtime import runtime_asm
 from repro.errors import ReproError
 from repro.fuzz.generator import (
     CODE_BASE,
@@ -33,6 +34,8 @@ from repro.fuzz.generator import (
     FuzzProgram,
     SCRATCH_HI,
     SCRATCH_LO,
+    TAIL_SIZE,
+    TAIL_SYMBOL,
 )
 from repro.msp430.cpu import Cpu, CpuFault, ExecutionLimitExceeded
 from repro.msp430.memory import Memory, MemoryMap
@@ -46,15 +49,30 @@ class FuzzHarnessError(ReproError):
     """The generated program could not be assembled or linked."""
 
 
+#: the data area linked right after the runtime library: the
+#: generator's near-code stores and stack moves target it, so they
+#: land on pages that hold (or sit next to) cached code
+TAIL_ASM = f"""
+        .text
+        .global {TAIL_SYMBOL}
+{TAIL_SYMBOL}:
+        .space {TAIL_SIZE}
+"""
+
+
 def build_image(program: FuzzProgram):
-    """Assemble + link the program text at :data:`CODE_BASE`."""
+    """Assemble + link the program text at :data:`CODE_BASE`, followed
+    by the MiniC runtime library (the ``__udivmod``/``__mulhi``/...
+    helpers programs may call) and the :data:`TAIL_SYMBOL` data area."""
     try:
         obj = assemble(program.body_text(), name=f"fuzz_{program.seed}")
+        runtime = assemble(runtime_asm(), name="runtime")
+        tail = assemble(TAIL_ASM, name="tail")
         script = LinkScript()
         script.region("fuzzcode", CODE_BASE, CODE_LIMIT)
         script.place_rule(".text", "fuzzcode")
         script.place_rule("*", "fuzzcode")
-        return Linker(script).place([obj]).resolve()
+        return Linker(script).place([obj, runtime, tail]).resolve()
     except ReproError as error:
         raise FuzzHarnessError(
             f"seed {program.seed}: {error}") from error

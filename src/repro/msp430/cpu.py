@@ -44,6 +44,19 @@ blocks keep the architectural counters and PC exact around every
 thunk, so I/O read handlers (the cycle timer), fault PCs, and pending
 service faults observe bit-identical state to ``step()``.
 
+Memory blocks inline their word loads and stores: an access the bus's
+*fast map* marks as plain RAM (permitted by the current MPU bitmap,
+no I/O port, no write hook) — and, for a store, on a page without
+cached code — reads or writes the backing ``bytearray`` directly.
+Everything else calls ``Memory.read_word``/``write_word`` as a thunk
+would, so I/O ports, denials (errors and MPU violation flags), write
+hooks and code invalidation keep their exact behaviour.
+
+Two hot *loop* blocks — the shift-and-add loops of the runtime's
+``__udivmod`` and ``__mulhi`` helpers, recognised by their verified
+code bytes — run as native models instead of generated code (see
+:mod:`repro.msp430.intrinsics`).
+
 ``run()`` only dispatches blocks when nothing needs per-instruction
 observability: a ``trace_hook`` (debugger), a memory observer
 (watchpoints, profilers), a pending fault, or a cycle/instruction
@@ -79,7 +92,9 @@ from repro.msp430.isa import (
     Operand,
 )
 from repro.msp430.execcache import MAX_VARIANTS
-from repro.msp430.memory import EXECUTE, Memory, PERM_X, READ, WRITE
+from repro.msp430.intrinsics import intrinsic_for, is_intrinsic
+from repro.msp430.memory import EXECUTE, FAST_SHIFT, Memory, PERM_X, \
+    READ, WRITE
 from repro.msp430.registers import Reg, RegisterFile, SR
 
 _M = AddressingMode
@@ -149,7 +164,12 @@ class _Block:
       maintains PC and both counters per instruction (so I/O read
       handlers such as the cycle timer observe exactly the state
       ``step()`` would show) and re-checks halt/pending-fault/
-      invalidation/observability after every store.
+      invalidation/observability after every store that goes through
+      the bus (an inline plain-RAM store can change none of them).
+
+    A loop block whose code bytes are a runtime-helper loop gets a
+    native model with the loop contract as its ``fn`` instead (see
+    :mod:`repro.msp430.intrinsics`).
 
     ``cycles`` and ``count`` are the *full-path* totals (every step
     executed, nothing skipped) — upper bounds used for budget guards.
@@ -193,15 +213,20 @@ class _Block:
         # codegen'd once the block proves hot — code executed once or
         # twice never pays ``compile()``.  ``proto`` points at the
         # published original for adopted copies, so one codegen serves
-        # every device sharing the block.
+        # every device sharing the block.  Tiering is per device: an
+        # adopted copy starts at tier 0 even when its prototype is
+        # hot, so which dispatches run interpretively (and take the
+        # bus for every access) does not depend on what sibling
+        # devices ran before.
         self.fn = None
         self.execs = 0
         self.proto = None
 
     def adopt(self) -> "_Block":
         """A per-device shallow copy for shared-cache adoption: every
-        heavy member (steps, fn, pc_map, code) is shared by reference;
-        only the ``perm_ok`` validation cache is private, so devices
+        heavy member (steps, pc_map, code, and the prototype's ``fn``
+        once this copy is hot) is shared by reference; the tier state
+        and the ``perm_ok`` validation cache are private, so devices
         with different MPU configurations never thrash each other's
         re-validation of one shared block object."""
         nb = _Block.__new__(_Block)
@@ -215,8 +240,8 @@ class _Block:
         nb.loop = self.loop
         nb.perm_ok = None
         nb.perm_ok2 = None
-        nb.fn = self.fn
-        nb.execs = self.execs
+        nb.fn = None
+        nb.execs = 0
         nb.proto = self
         nb.pc_map = self.pc_map
         nb.code = self.code
@@ -342,6 +367,16 @@ def _codegen(blk: _Block):
         # sibling device mid-flight.
         emit("def _fn(c, r, m):")
         emit("    _v = c._code_version")
+        body = [ln for s in steps if s[6] is not None for ln in s[6]]
+        if any("_fm[" in ln for ln in body):
+            # inline bus fast path (see _ld/_st): the backing bytes,
+            # the fast map matching the bitmap ``run`` refreshed
+            # before this dispatch, and this CPU's code-page mask
+            emit("    _mb = m._bytes")
+            emit("    _fm = m._fast")
+        if any("_s = 1" in ln for ln in body):
+            emit("    _cp = c._code_pages")
+            emit("    _s = 0")
         ind = "    "
         arm = 0
         # Consecutive register-only inline steps can neither fault,
@@ -403,13 +438,20 @@ def _codegen(blk: _Block):
                     # a truthy return tells ``run`` a boundary event
                     # fired; a clean fall-through (None) provably left
                     # every post-dispatch guard unchanged, because
-                    # only write handlers have side effects
-                    emit(f"{ind}if c.halted: return 1")
-                    emit(f"{ind}f = c._pending_fault")
-                    emit(f"{ind}if f is not None:")
-                    emit(f"{ind}    c._pending_fault = None")
-                    emit(f"{ind}    raise f")
-                    emit(f"{ind}if (c._code_version != _v"
+                    # only write handlers have side effects.  A store
+                    # with a fast path checks only after a bus store.
+                    g = ind
+                    if inline is not None and any(
+                            "_s = 1" in ln for ln in inline):
+                        emit(f"{ind}if _s:")
+                        g = ind + "    "
+                        emit(f"{g}_s = 0")
+                    emit(f"{g}if c.halted: return 1")
+                    emit(f"{g}f = c._pending_fault")
+                    emit(f"{g}if f is not None:")
+                    emit(f"{g}    c._pending_fault = None")
+                    emit(f"{g}    raise f")
+                    emit(f"{g}if (c._code_version != _v"
                          " or m._perm_stale"
                          " or c.trace_hook is not None"
                          " or m._observers): return 1")
@@ -477,18 +519,24 @@ def _interp_block(c, blk: _Block, r, m) -> None:
 # bytes, the per-step metadata (everything in a step tuple except the
 # thunk), and the marshaled generated code — revival re-decodes the
 # thunks from the recorded bytes and rebinds them as the function's
-# globals.  Revival is fail-closed: any inconsistency (decode error,
-# cycle-count mismatch, marshal rot) rejects the record and the block
-# is simply re-translated, exactly as a cache miss would be.
+# globals.  A runtime-helper intrinsic is never marshaled: its record
+# carries no code object, and revival selects the intrinsic again from
+# the verified code bytes.  Revival is fail-closed: any inconsistency
+# (decode error, cycle-count mismatch, marshal rot) rejects the record
+# and the block is simply re-translated, exactly as a cache miss would
+# be.
 
 def _block_record(blk: _Block) -> Optional[dict]:
-    """Serialize a codegen'd block for the execcache disk tier."""
+    """Serialize a hot block for the execcache disk tier."""
     if blk.fn is None or blk.code is None:
         return None
-    try:
-        fn_code = marshal.dumps(blk.fn.__code__)
-    except ValueError:
-        return None
+    if is_intrinsic(blk.fn):
+        fn_code = None
+    else:
+        try:
+            fn_code = marshal.dumps(blk.fn.__code__)
+        except ValueError:
+            return None
     return {
         "pc": blk.start,
         "end": blk.end,
@@ -532,14 +580,15 @@ def _block_from_record(record: dict) -> Optional[_Block]:
                           info, inline))
         if steps[-1][1] != record["end_pc"]:
             return None
-        ns = {f"_t{i}": s[2] for i, s in enumerate(steps)}
-        fn = types.FunctionType(marshal.loads(record["fn"]), ns,
-                                "_fn")
         blk = _Block(start, end, record["end_pc"], tuple(steps),
                      record["pure"], record["loop"])
         blk.code = bytes(code)
+        fn = intrinsic_for(blk)
+        if fn is None:
+            ns = {f"_t{i}": s[2] for i, s in enumerate(steps)}
+            fn = types.FunctionType(marshal.loads(record["fn"]), ns,
+                                    "_fn")
         blk.fn = fn
-        blk.execs = 2          # already hot: skip the interp tier
         return blk
     except Exception:
         return None
@@ -1003,7 +1052,10 @@ class Cpu:
                                     and proto.fn is not None:
                                 blk.fn = proto.fn
                             else:
-                                blk.fn = _codegen(blk)
+                                # a runtime-helper loop runs its native
+                                # model, anything else generated code
+                                blk.fn = (intrinsic_for(blk)
+                                          or _codegen(blk))
                                 if proto is not None:
                                     proto.fn = blk.fn
                                 shared = self._shared
@@ -1882,24 +1934,63 @@ _SUB_OPS = frozenset((Opcode.SUB, Opcode.SUBC, Opcode.CMP))
 _CARRY_OPS = frozenset((Opcode.ADDC, Opcode.SUBC))
 
 
+def _granule(a: str) -> str:
+    """The fast-map index of address ``a`` (folded for a constant)."""
+    if a.isdigit():
+        return str(int(a) >> FAST_SHIFT)
+    return f"{a} >> {FAST_SHIFT}"
+
+
+def _ld(a: str) -> str:
+    """Inline word load from the even address ``a`` (a local name or a
+    constant): straight from the backing bytes when the bus's fast map
+    marks the word plain readable RAM, else through ``m.read_word`` —
+    I/O ports and denials, with their exact errors and MPU flags."""
+    return (f"(_mb[{a}] | _mb[{a} + 1] << 8 if _fm[{_granule(a)}] & 1"
+            f" else m.read_word({a}))")
+
+
+def _st(a: str, v: str) -> list:
+    """Inline word store of the 16-bit ``v`` to the even address ``a``
+    (each a local name, register slot or constant).  The backing bytes
+    are written directly when the fast map marks the word plain
+    writable RAM and its page holds no cached code (the bus's own
+    invalidation test): such a store cannot halt, fault, invalidate,
+    reconfigure or attach anything, so it needs no store-boundary
+    guard.  Every other store goes through ``m.write_word`` and sets
+    ``_s``, which runs the guard after the instruction retires."""
+    return [f"if _fm[{_granule(a)}] & 2 and not (_cp[{a} >> 6]"
+            f" or _cp[{a} - 4 >> 6]):",
+            f"    _mb[{a}] = {v} & 0xFF",
+            f"    _mb[{a} + 1] = {v} >> 8",
+            "else:",
+            f"    m.write_word({a}, {v})",
+            "    _s = 1"]
+
+
 def _inline_mov_mem_to_reg(src: Operand, d: int, byte: bool):
     """Inline twin of :func:`_spec_mov_mem_to_reg` (same modes, same
     read/increment order)."""
-    rd = "m.read_byte" if byte else "m.read_word"
+    if byte:
+        amask, load = 0xFFFF, lambda a: f"m.read_byte({a})"
+    else:                     # the bus ignores bit 0 of a word address
+        amask, load = 0xFFFE, _ld
     sm = src.mode
     if sm is _M.INDEXED:
-        return [f"r[{d}] = {rd}((r[{src.register}]"
-                f" + {src.value}) & 0xFFFF)"]
+        return [f"_ia = (r[{src.register}] + {src.value}) & {amask}",
+                f"r[{d}] = {load('_ia')}"]
     if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        return [f"r[{d}] = {rd}({src.value & 0xFFFF})"]
+        return [f"r[{d}] = {load(str(src.value & amask))}"]
     if sm is _M.INDIRECT:
-        return [f"r[{d}] = {rd}(r[{src.register}])"]
+        return [f"_ia = r[{src.register}] & {amask}",
+                f"r[{d}] = {load('_ia')}"]
     if sm is _M.AUTOINCREMENT and src.register >= 1:
         # read first, increment second — a faulting read leaves the
         # pointer untouched, exactly like the thunk
         s = src.register
         return [f"_ia = r[{s}]",
-                f"_iv = {rd}(_ia)",
+                f"_ib = _ia & {amask}",
+                f"_iv = {load('_ib')}",
                 f"r[{s}] = (_ia + {1 if byte else 2}) & 0xFFFF",
                 f"r[{d}] = _iv"]
     return None
@@ -1916,16 +2007,18 @@ def _inline_mov_to_pc(src: Operand):
     if sm is _M.AUTOINCREMENT:
         s = src.register
         return [f"_ia = r[{s}]",
-                "_iv = m.read_word(_ia)",
+                "_ib = _ia & 0xFFFE",
+                f"_iv = {_ld('_ib')}",
                 f"r[{s}] = (_ia + 2) & 0xFFFF",
                 "r[0] = _iv & 0xFFFE"]
     if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        return [f"r[0] = m.read_word({src.value & 0xFFFF}) & 0xFFFE"]
+        return [f"r[0] = {_ld(str(src.value & 0xFFFE))} & 0xFFFE"]
     if sm is _M.INDEXED:
-        return [f"r[0] = m.read_word((r[{src.register}]"
-                f" + {src.value}) & 0xFFFF) & 0xFFFE"]
+        return [f"_ia = (r[{src.register}] + {src.value}) & 0xFFFE",
+                f"r[0] = {_ld('_ia')} & 0xFFFE"]
     if sm is _M.INDIRECT:
-        return [f"r[0] = m.read_word(r[{src.register}]) & 0xFFFE"]
+        return [f"_ia = r[{src.register}] & 0xFFFE",
+                f"r[0] = {_ld('_ia')} & 0xFFFE"]
     return None
 
 
@@ -1943,31 +2036,29 @@ def _inline_mem_dst(insn: Instruction):
         k = src.value & mask
     else:
         return None                       # memory-to-memory
+    amask = 0xFFFF if byte else 0xFFFE    # words ignore address bit 0
     dm = dst.mode
     if dm is _M.INDEXED:
-        addr = f"(r[{dst.register}] + {dst.value}) & 0xFFFF"
+        lines = [f"_ia = (r[{dst.register}] + {dst.value}) & {amask}"]
+        ia = "_ia"
     elif dm is _M.ABSOLUTE or dm is _M.SYMBOLIC:
-        addr = str(dst.value & 0xFFFF)
+        lines = []
+        ia = str(dst.value & amask)
     else:
         return None
     opcode = insn.opcode
     if opcode is Opcode.MOV:
-        wr = "m.write_byte" if byte else "m.write_word"
-        if s >= 0:
-            val = f"r[{s}] & 0xFF" if byte else f"r[{s}]"
-        else:
-            val = str(k)
-        return [f"{wr}({addr}, {val})"]
+        if byte:
+            val = f"r[{s}] & 0xFF" if s >= 0 else str(k)
+            return lines + [f"m.write_byte({ia}, {val})"]
+        return lines + _st(ia, f"r[{s}]" if s >= 0 else str(k))
     if opcode is Opcode.ADD and not byte:
-        lines = [f"_ia = {addr}" if dm is _M.INDEXED else None]
-        ia = "_ia" if dm is _M.INDEXED else addr
-        lines = [ln for ln in lines if ln is not None]
         if s >= 0:
             lines.append(f"_ik = r[{s}]")
             kx = "_ik"
         else:
             kx = str(k)
-        lines += [f"_id = m.read_word({ia})",
+        lines += [f"_id = {_ld(ia)}",
                   f"_ix = _id + {kx}",
                   "_io = _ix & 0xFFFF",
                   f"_isr = r[2] & {_SRM}",
@@ -1976,22 +2067,23 @@ def _inline_mem_dst(insn: Instruction):
                   "elif _io == 0: _isr |= 2",
                   f"if ~({kx} ^ _id) & ({kx} ^ _io) & 0x8000:"
                   " _isr |= 0x100",
-                  "r[2] = _isr",
-                  f"m.write_word({ia}, _io)"]
-        return lines
+                  "r[2] = _isr"]
+        return lines + _st(ia, "_io")
     return None
 
 
 def _inline_step(insn: Instruction):
     """Source lines executing ``insn`` directly on the raw register
     list — the codegen twin of the thunk skeletons above (identical
-    arithmetic, flag updates, and memory-call order, with the thunk's
-    Python call frame compiled away).  Covers the register/immediate
-    ALU shapes plus the hot memory shapes (PUSH, MOV to/from memory,
-    ADD into memory); memory accesses still go through the
-    ``m.read_*``/``m.write_*`` bus methods, so permissions, I/O
-    dispatch, and invalidation behave exactly as in the thunk.
-    Returns None for any shape that keeps its thunk call.
+    arithmetic, flag updates, and memory-access order, with the
+    thunk's Python call frame compiled away).  Covers the
+    register/immediate ALU shapes plus the hot memory shapes (PUSH,
+    CALL, MOV to/from memory, ADD into memory).  Word accesses take
+    the inline fast path of :func:`_ld`/:func:`_st` and fall back to
+    the ``m.read_word``/``m.write_word`` bus methods for anything but
+    plain RAM; byte accesses always call the bus.  Either way
+    permissions, I/O dispatch and invalidation behave exactly as in
+    the thunk.  Returns None for any shape that keeps its thunk call.
     Temporaries use the ``_i*`` prefix so they never collide with the
     block executors' own locals.
     """
@@ -2006,27 +2098,26 @@ def _inline_step(insn: Instruction):
     if dst is None:                       # format 2, register operand
         if opcode is Opcode.PUSH and src is not None:
             # SP moves before the store, exactly like the thunk: a
-            # faulting push leaves SP decremented
+            # faulting push leaves SP decremented.  SP is always even,
+            # so it is a valid fast-path address.
+            push = ["_ia = r[1] = (r[1] - 2) & 0xFFFF"]
             if src.mode is _M.REGISTER:
-                return ["_ia = r[1] = (r[1] - 2) & 0xFFFF",
-                        f"m.write_word(_ia, r[{src.register}]"
-                        f" & {mask})"]
+                return push + [f"_iw = r[{src.register}] & {mask}"] \
+                    + _st("_ia", "_iw")
             if src.mode is _M.IMMEDIATE:
-                return ["_ia = r[1] = (r[1] - 2) & 0xFFFF",
-                        f"m.write_word(_ia, {src.value & mask})"]
+                return push + _st("_ia", str(src.value & mask))
             return None
         if opcode is Opcode.CALL and src is not None:
             # target evaluated before the push; the pushed return
             # address is the deferred PC (r[0] == next_pc here)
             if src.mode is _M.IMMEDIATE:
-                return ["_ia = r[1] = (r[1] - 2) & 0xFFFF",
-                        "m.write_word(_ia, r[0])",
-                        f"r[0] = {src.value & 0xFFFE}"]
+                return ["_ia = r[1] = (r[1] - 2) & 0xFFFF"] \
+                    + _st("_ia", "r[0]") \
+                    + [f"r[0] = {src.value & 0xFFFE}"]
             if src.mode is _M.REGISTER:
                 return [f"_it = r[{src.register}] & 0xFFFE",
-                        "_ia = r[1] = (r[1] - 2) & 0xFFFF",
-                        "m.write_word(_ia, r[0])",
-                        "r[0] = _it"]
+                        "_ia = r[1] = (r[1] - 2) & 0xFFFF"] \
+                    + _st("_ia", "r[0]") + ["r[0] = _it"]
             return None
         if (src is None or src.mode is not _M.REGISTER
                 or src.register < 4):

@@ -162,7 +162,7 @@ def clear_registry() -> None:
 # detected, skipped, and simply re-translated.
 
 #: bump when the record payload layout changes
-DISK_FORMAT = 1
+DISK_FORMAT = 2
 
 #: a single compiled block serializes to a few KB; anything claiming
 #: to be bigger is a corrupt length field

@@ -195,6 +195,46 @@ def _intern_region_perm(perm: bytes) -> bytes:
     return _REGION_PERM_INTERN.setdefault(perm, perm)
 
 
+#: process-global fast-map memo: (bitmap, I/O port set, write-hooked)
+#: -> fast map.  Like the bitmaps themselves, fast maps are shared by
+#: every device with the same configuration and wiring.
+_FAST_MEMO: Dict[tuple, bytes] = {}
+
+#: fast-map granule: 16 bytes, the resolution of MPU segment
+#: boundaries (a granule straddling a finer permission edge is
+#: fast only for what all its bytes allow)
+FAST_SHIFT = 4
+
+#: fast-map bits kept per granule: R and W, or only R while write
+#: hooks are attached
+_KEEP = {False: bytes(v & (PERM_R | PERM_W) for v in range(256)),
+         True: bytes(v & PERM_R for v in range(256))}
+
+
+def _fast_map(perm: bytes, ports: frozenset, hooked: bool) -> bytes:
+    """One byte per 16-byte granule of ``perm``: the read (write) bit
+    is set when every address in the granule allows a read (write),
+    no I/O port lies in it, and — for writes — no write hook is
+    attached.  A set bit therefore means a word read (write) anywhere
+    in the granule is a plain backing-store access with no side effect
+    beyond the bytes themselves; generated superblocks use it to skip
+    the bus call (see ``repro.msp430.cpu._ld``/``_st``)."""
+    key = (perm, ports, hooked)
+    fast = _FAST_MEMO.get(key)
+    if fast is None:
+        # AND the k-th byte of every granule across k, as big ints
+        size = 1 << FAST_SHIFT
+        bits = int.from_bytes(perm[0::size], "little")
+        for k in range(1, size):
+            bits &= int.from_bytes(perm[k::size], "little")
+        buf = bytearray(bits.to_bytes(len(perm) >> FAST_SHIFT, "little")
+                        .translate(_KEEP[hooked]))
+        for port in ports:
+            buf[port >> FAST_SHIFT] = 0
+        fast = _FAST_MEMO[key] = bytes(buf)
+    return fast
+
+
 class Memory:
     """The simulated bus.
 
@@ -242,8 +282,13 @@ class Memory:
         #: set by :meth:`invalidate_permissions`; forces a rebuild on
         #: the next checked access
         self._perm_stale = False
-        #: overlay memo: MPU configuration signature -> combined bitmap
-        self._perm_cache: Dict[tuple, Optional[bytes]] = {}
+        #: overlay memo: MPU configuration signature -> combined
+        #: bitmap and its fast map (cleared when the wiring changes)
+        self._perm_cache: Dict[tuple, Tuple[bytes, bytes]] = {}
+        #: word addresses with an I/O handler (read or write)
+        self._io_ports: frozenset = frozenset()
+        #: fast map of the active bitmap under the current wiring
+        self._fast: bytes = _fast_map(self._perm, self._io_ports, False)
 
     # -- configuration -----------------------------------------------------
     def add_io(self, address: int,
@@ -260,6 +305,9 @@ class Memory:
             self._io_write[address] = write
             if address >= self._io_wmax:
                 self._io_wmax = address + 1
+        if address not in self._io_ports:
+            self._io_ports = self._io_ports | {address}
+            self._rewired()
 
     def io_addresses(self) -> frozenset:
         """Every word address with a registered I/O handler (read or
@@ -267,7 +315,15 @@ class Memory:
         instructions that statically address one of these — kernel
         gate ports, MPU registers, the cycle timer — so port side
         effects always run under the exact ``step()`` path."""
-        return frozenset(self._io_read) | frozenset(self._io_write)
+        return self._io_ports
+
+    def _rewired(self) -> None:
+        """The I/O ports or write hooks changed: rebuild the fast map
+        on the next refresh.  Marking the bitmap stale also stops an
+        in-flight superblock at its next store boundary, so no block
+        keeps using the old fast map."""
+        self._perm_cache.clear()
+        self._perm_stale = True
 
     def add_observer(self, observer: Observer) -> None:
         self._observers.append(observer)
@@ -279,9 +335,11 @@ class Memory:
         """Chain a callback invoked after every write with the address
         (``-1`` for bulk loads).  Hooks run in registration order."""
         self.write_hooks.append(hook)
+        self._rewired()
 
     def remove_write_hook(self, hook: WriteHandler) -> None:
         self.write_hooks.remove(hook)
+        self._rewired()
 
     def set_invalidator(self, hook: WriteHandler,
                         mask: bytearray) -> None:
@@ -304,41 +362,49 @@ class Memory:
         self._perm_stale = True
 
     def _refresh_permissions(self) -> Optional[bytes]:
-        """Rebuild the active bitmap from the region map and the MPU."""
+        """Rebuild the active bitmap (and its fast map) from the region
+        map, the MPU and the I/O wiring."""
         self._perm_stale = False
         mpu = self.mpu
         if mpu is None:
-            self._perm = self._region_perm
-            return self._perm
+            perm = self._perm = self._region_perm
+            self._fast = _fast_map(perm, self._io_ports,
+                                   bool(self.write_hooks))
+            return perm
         signature_fn = getattr(mpu, "permission_signature", None)
         if signature_fn is None:
             # Unknown MPU implementation: disable the fast path and
-            # consult it on every access via the slow path.
+            # consult it on every access via the slow path (``run``
+            # then dispatches no superblocks, so no fast map is read).
             self._perm = None
             return None
         sig = signature_fn()
-        perm = self._perm_cache.get(sig)
+        cached = self._perm_cache.get(sig)
+        if cached is not None:
+            self._perm, self._fast = cached
+            return cached[0]
+        # L2: the process-global memo.  Signatures fully determine
+        # overlays, and region bitmaps are interned, so two devices
+        # with the same map and MPU configuration share the *same*
+        # combined bitmap object — which keeps superblock
+        # ``perm_ok is perm`` revalidation an identity hit even for
+        # blocks pulled from the shared execution cache.
+        key = (id(self._region_perm), sig)
+        perm = _PERM_MEMO.get(key)
         if perm is None:
-            # L2: the process-global memo.  Signatures fully determine
-            # overlays, and region bitmaps are interned, so two devices
-            # with the same map and MPU configuration share the *same*
-            # combined bitmap object — which keeps superblock
-            # ``perm_ok is perm`` revalidation an identity hit even for
-            # blocks pulled from the shared execution cache.
-            key = (id(self._region_perm), sig)
-            perm = _PERM_MEMO.get(key)
-            if perm is None:
-                overlay = mpu.permission_overlay()
-                if overlay is None:
-                    perm = self._region_perm
-                else:
-                    combined = (int.from_bytes(self._region_perm,
-                                               "little")
-                                & int.from_bytes(overlay, "little"))
-                    perm = combined.to_bytes(0x10000, "little")
-                _PERM_MEMO[key] = perm
-            self._perm_cache[sig] = perm
+            overlay = mpu.permission_overlay()
+            if overlay is None:
+                perm = self._region_perm
+            else:
+                combined = (int.from_bytes(self._region_perm,
+                                           "little")
+                            & int.from_bytes(overlay, "little"))
+                perm = combined.to_bytes(0x10000, "little")
+            _PERM_MEMO[key] = perm
+        fast = _fast_map(perm, self._io_ports, bool(self.write_hooks))
+        self._perm_cache[sig] = (perm, fast)
         self._perm = perm
+        self._fast = fast
         return perm
 
     def access_allowed(self, address: int, kind: str) -> bool:

@@ -182,9 +182,6 @@ class Mpu:
         # cached byte-address boundaries (hot path)
         self._b1 = 0
         self._b2 = 0
-        #: bumped on every configuration change; drives the bus's flat
-        #: permission-bitmap invalidation
-        self.config_epoch = 0
         self._memory = None
 
     # -- wiring ---------------------------------------------------------------
@@ -203,7 +200,10 @@ class Mpu:
         memory.invalidate_permissions()
 
     def _config_changed(self) -> None:
-        self.config_epoch += 1
+        """Invalidate the bus's flat permission bitmap.  Register
+        writes call this only when a value the bitmap depends on (ENA,
+        B1, B2, SAM) actually changed: every gate rewrites the same
+        enable word, and a rebuild would find the same bitmap."""
         if self._memory is not None:
             self._memory.invalidate_permissions()
 
@@ -230,16 +230,18 @@ class Mpu:
         if self.locked:
             # Lock is one-way until reset; only violation flags change.
             return
+        old = self.ctl0
         self.ctl0 = (MPU_PASSWORD << 8) | (value & (MPUENA | MPULOCK
                                                     | MPUSEGIE))
-        self._config_changed()
+        if (old ^ self.ctl0) & MPUENA:
+            self._config_changed()
 
     def _write_ctl1(self, _addr: int, value: int) -> None:
         # Writing 0 bits clears violation flags.
         self.ctl1 &= value
 
     def _write_segb1(self, _addr: int, value: int) -> None:
-        if not self.locked:
+        if not self.locked and value & 0xFFFF != self.segb1:
             self.segb1 = value & 0xFFFF
             # Boundaries saturate at the top of the address space: a
             # register value of 0x1000 means B1 = 0x10000 ("end of
@@ -250,13 +252,13 @@ class Mpu:
             self._config_changed()
 
     def _write_segb2(self, _addr: int, value: int) -> None:
-        if not self.locked:
+        if not self.locked and value & 0xFFFF != self.segb2:
             self.segb2 = value & 0xFFFF
             self._b2 = min(self.segb2 << 4, 0x10000)
             self._config_changed()
 
     def _write_sam(self, _addr: int, value: int) -> None:
-        if not self.locked:
+        if not self.locked and value & 0xFFFF != self.sam:
             self.sam = value & 0xFFFF
             self._config_changed()
 

@@ -17,6 +17,7 @@ Promises pinned here:
 
 import hashlib
 import json
+import marshal
 import os
 import struct
 
@@ -33,6 +34,7 @@ from repro.msp430.execcache import (
     prune_exec_cache,
     shared_execution_cache,
 )
+from repro.msp430.intrinsics import INTRINSICS, is_intrinsic
 from repro.pool import worker_pool
 
 #: long enough that hot superblocks pass the tier-up threshold and
@@ -95,6 +97,74 @@ class TestWarmStart:
         clear_registry()
         assert shared_execution_cache([0x100]).disk is None
         clear_registry()
+
+
+#: the ``__udivmod`` shift-subtract loop (see repro.msp430.intrinsics)
+DIV_LOOP = next(code for code, entry in INTRINSICS.items()
+                if entry[0].__name__ == "_udivmod_loop")
+
+
+def _div_loop_records(cache_dir):
+    return [record for path in cache_dir.glob("*.sbx")
+            for records in DiskTier(path)._records.values()
+            for record in records if record["code"] == DIV_LOOP]
+
+
+def _warm_sim_counting_intrinsics(cache_dir):
+    """Worker entry point: a warm run that wraps every revived
+    runtime-helper model in a call counter, so the parent can tell
+    whether a *revived* ``__udivmod`` block ran."""
+    import repro.msp430.cpu as cpu_module
+    real = cpu_module._block_from_record
+    calls = {"div": 0}
+
+    def spy(record):
+        blk = real(record)
+        if blk is not None and blk.code == DIV_LOOP:
+            assert is_intrinsic(blk.fn)
+            model = blk.fn
+
+            def counted(c, r, m, limit):
+                calls["div"] += 1
+                model(c, r, m, limit)
+            counted.intrinsic = model.intrinsic
+            blk.fn = counted
+        return blk
+
+    cpu_module._block_from_record = spy
+    digest, disk = _sim_in_fresh_store(cache_dir)
+    return digest, disk, calls["div"]
+
+
+class TestIntrinsicRecords:
+    def test_warm_rerun_revives_the_udivmod_model(self, tmp_path):
+        clear_registry()
+        cold_digest, _ = _fresh_process(_sim_in_fresh_store, tmp_path)
+        records = _div_loop_records(tmp_path)
+        assert records
+        # an intrinsic is never marshaled into a record
+        assert all(record["fn"] is None for record in records)
+        warm_digest, disk, div_calls = _fresh_process(
+            _warm_sim_counting_intrinsics, tmp_path)
+        assert warm_digest == cold_digest
+        assert sum(d["loaded"] for d in disk) > 0
+        assert div_calls > 0
+
+    def test_revival_selects_the_model_from_the_code_bytes(self):
+        """Whatever code object a record carries for a helper loop,
+        the revived block runs the native model."""
+        pcs = [0x4428 + 2 * i for i in range(8)]
+        cycles = (1, 1, 1, 2, 1, 1, 1, 2)
+        record = {"pc": 0x4428, "end": 0x4438, "end_pc": 0x4438,
+                  "pure": True, "loop": True, "code": DIV_LOOP,
+                  "fn": marshal.dumps((lambda: None).__code__),
+                  "steps": [(pc, pc + 2, cyc_i, False, None, None)
+                            for pc, cyc_i in zip(pcs, cycles)]}
+        blk = _block_from_record(record)
+        assert blk is not None and is_intrinsic(blk.fn)
+        record["code"] = DIV_LOOP[:-2] + b"\xf7\x23"   # other target
+        blk = _block_from_record(record)
+        assert blk is not None and not is_intrinsic(blk.fn)
 
 
 def _record(pc, code, payload=b"x" * 64):

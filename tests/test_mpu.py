@@ -223,3 +223,59 @@ class TestRegisterSemantics:
         mpu.disable()
         assert memory.read_word(MPUSEGB1) == 0x8000 >> 4
         assert memory.read_word(MPUSAM) == app_config().sam_value()
+
+
+class TestBitmapInvalidation:
+    """Register writes invalidate the bus's permission bitmap only when
+    a value it depends on (ENA, B1, B2, SAM) changes: every gate
+    rewrites the same enable word."""
+
+    def _configured(self):
+        memory, mpu = make_system()
+        mpu.configure(app_config())
+        memory._refresh_permissions()
+        return memory, mpu
+
+    def test_same_value_write_keeps_the_bitmap(self):
+        memory, mpu = self._configured()
+        perm = memory._perm
+        for address, value in app_config().register_writes():
+            memory.write_word(address, value)
+            assert not memory._perm_stale, hex(address)
+        assert memory._perm is perm
+        # a ctl0 write that keeps ENA but sets SEGIE changes no bitmap
+        memory.write_word(MPUCTL0, 0xA500 | 0x11)
+        assert not memory._perm_stale
+        assert memory._perm is perm
+
+    @pytest.mark.parametrize("address, value", [
+        (MPUCTL0, 0xA500),                       # disable
+        (MPUSEGB1, 0x0840),
+        (MPUSEGB2, 0x0880),
+        (MPUSAM, 0x0777),
+    ])
+    def test_changed_write_invalidates(self, address, value):
+        memory, mpu = self._configured()
+        perm = memory._perm
+        memory.write_word(address, value)
+        assert memory._perm_stale
+        memory._refresh_permissions()
+        assert memory._perm is not perm
+
+    def test_wrong_password_and_locked_writes_unchanged(self):
+        memory, mpu = self._configured()
+        state = mpu.state_dict()
+        with pytest.raises(MemoryAccessError):
+            memory.write_word(MPUCTL0, 0x1200)   # wrong password
+        assert mpu.state_dict() == state
+        assert not memory._perm_stale
+        memory.write_word(MPUCTL0, 0xA500 | 0x03)    # ENA | LOCK
+        assert mpu.locked
+        assert not memory._perm_stale           # ENA was already set
+        perm = memory._perm
+        locked = mpu.state_dict()
+        for address in (MPUCTL0, MPUSEGB1, MPUSEGB2, MPUSAM):
+            memory.write_word(address, 0xA500)
+            assert not memory._perm_stale
+        assert mpu.state_dict() == locked
+        assert memory._perm is perm
