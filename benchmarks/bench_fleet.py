@@ -26,13 +26,6 @@ Cache states:
   registry and revives translations from disk: the fresh-process
   steady state a resumed or repeated study enjoys.
 
-``--trace`` applies the same three states to the cohort trace tier
-(the ``.tbx`` stores): ``cold`` starts from an empty tier, ``warm``
-lets an unmeasured campaign publish its dispatch traces first so the
-measured one replays instead of executing — the repeated-study number
-cross-unit trace sharing exists for.  ``--rejoin off`` disables
-dispatch-boundary rejoin for before/after comparisons.
-
 Run standalone (``PYTHONPATH=src python benchmarks/bench_fleet.py``)
 to append a record to ``BENCH_fleet.json`` at the repo root, or via
 pytest for a quick smoke.
@@ -60,27 +53,23 @@ MODEL = "mpu"
 CACHE_STATES = ("default", "cold", "warm")
 
 
-def _one_campaign(config, jobs: int, cohort: bool = False,
-                  transport: str = "local",
-                  rejoin: bool = True) -> float:
+def _one_campaign(config, jobs: int,
+                  transport: str = "local") -> float:
     """Wall seconds for one campaign into a throwaway directory."""
     from repro.fleet.executor import run_campaign
 
     out = Path(tempfile.mkdtemp(prefix="bench_fleet_"))
     try:
         if transport == "socket":
-            return _one_socket_campaign(config, jobs, cohort, out,
-                                        rejoin)
+            return _one_socket_campaign(config, jobs, out)
         start = time.perf_counter()
-        run_campaign(config, out, jobs=jobs, cohort=cohort,
-                     rejoin=rejoin)
+        run_campaign(config, out, jobs=jobs)
         return time.perf_counter() - start
     finally:
         shutil.rmtree(out, ignore_errors=True)
 
 
-def _one_socket_campaign(config, jobs: int, cohort: bool,
-                         out: Path, rejoin: bool = True) -> float:
+def _one_socket_campaign(config, jobs: int, out: Path) -> float:
     """Wall seconds for the same campaign dispatched over loopback
     TCP to ``jobs`` worker subprocesses — the measured time includes
     worker spawn and handshake, because a real socket campaign pays
@@ -102,8 +91,7 @@ def _one_socket_campaign(config, jobs: int, cohort: bool,
 
     def _campaign():
         try:
-            run_campaign(config, out, jobs=jobs, cohort=cohort,
-                         rejoin=rejoin, transport=transport)
+            run_campaign(config, out, jobs=jobs, transport=transport)
         except BaseException as error:
             failure.append(error)
 
@@ -130,55 +118,23 @@ def _one_socket_campaign(config, jobs: int, cohort: bool,
 
 def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
                    jobs: int = 1, seed: int = 0,
-                   cache: str = "default", cohort: bool = False,
-                   homogeneous: bool = False,
-                   transport: str = "local", trace: str = "default",
-                   rejoin: bool = True) -> float:
-    """Device-sim-hours per wall second for one full campaign.
-
-    ``homogeneous=True`` clones device 0 fleet-wide — the one-firmware
-    fleet that is the cohort scenario's subject; ``cohort=True`` turns
-    lockstep on (the pairing with ``homogeneous=False`` measures the
-    handshake/record overhead on a fleet with nothing to share).
-    ``trace`` pins the ``.tbx`` trace-tier state exactly like
-    ``cache`` pins the ``.sbx`` one; the warm-up campaign runs with
-    the same knobs as the measured one."""
-    from repro.fleet import tracetier
+                   cache: str = "default",
+                   transport: str = "local") -> float:
+    """Device-sim-hours per wall second for one full campaign; the
+    warm-up campaign of ``cache="warm"`` runs with the same knobs as
+    the measured one."""
     from repro.fleet.executor import FleetConfig
     from repro.msp430.execcache import clear_registry
 
     config = FleetConfig(devices=devices, hours=hours,
                          models=(MODEL,), seed=seed,
-                         rogue_fraction=0.25,
-                         homogeneous=homogeneous)
+                         rogue_fraction=0.25)
 
     def _measured() -> float:
-        return devices * hours / _one_campaign(config, jobs, cohort,
-                                               transport, rejoin)
-
-    def _with_trace_tier(run):
-        if trace == "default":
-            return run()
-        saved = os.environ.get("REPRO_TRACE_CACHE_DIR")
-        trace_dir = tempfile.mkdtemp(prefix="bench_trace_")
-        os.environ["REPRO_TRACE_CACHE_DIR"] = trace_dir
-        tracetier.clear_tier()
-        try:
-            if trace == "warm":
-                _one_campaign(config, jobs, cohort, transport,
-                              rejoin)             # publish traces
-                tracetier.clear_tier()    # warmth must come from disk
-            return run()
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_TRACE_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_TRACE_CACHE_DIR"] = saved
-            tracetier.clear_tier()
-            shutil.rmtree(trace_dir, ignore_errors=True)
+        return devices * hours / _one_campaign(config, jobs, transport)
 
     if cache == "default":
-        return _with_trace_tier(_measured)
+        return _measured()
 
     saved = os.environ.get("REPRO_EXEC_CACHE_DIR")
     cache_dir = tempfile.mkdtemp(prefix="bench_exec_")
@@ -186,10 +142,9 @@ def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
     clear_registry()
     try:
         if cache == "warm":
-            _one_campaign(config, jobs, cohort,
-                          transport, rejoin)      # populate disk
+            _one_campaign(config, jobs, transport)    # populate disk
             clear_registry()              # warmth must come from disk
-        return _with_trace_tier(_measured)
+        return _measured()
     finally:
         if saved is None:
             os.environ.pop("REPRO_EXEC_CACHE_DIR", None)
@@ -200,11 +155,8 @@ def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
 
 
 def run_benchmarks(repeats: int = 3, jobs: int = 1,
-                   cache: str = "default", cohort: bool = False,
-                   homogeneous: bool = False,
-                   devices: int = DEVICES,
-                   transport: str = "local", trace: str = "default",
-                   rejoin: bool = True) -> dict:
+                   cache: str = "default", devices: int = DEVICES,
+                   transport: str = "local") -> dict:
     # Best-of-N: interference only ever lowers a rate, so the max over
     # repeats is the least-noisy estimate (same rule as BENCH_sim).
     # A different seed per repeat keeps the firmware build cache from
@@ -212,48 +164,33 @@ def run_benchmarks(repeats: int = 3, jobs: int = 1,
     return {
         "device_sim_hours_per_sec": round(max(
             bench_campaign(devices=devices, jobs=jobs, seed=n,
-                           cache=cache, cohort=cohort,
-                           homogeneous=homogeneous,
-                           transport=transport, trace=trace,
-                           rejoin=rejoin)
+                           cache=cache, transport=transport)
             for n in range(repeats)), 4),
         "devices": devices,
         "sim_hours_per_device": SIM_HOURS,
         "model": MODEL,
         "jobs": jobs,
         "cache": cache,
-        "cohort": cohort,
-        "homogeneous": homogeneous,
         "transport": transport,
-        "trace": trace,
-        "rejoin": rejoin,
         "host_cpus": os.cpu_count(),
     }
 
 
 def record(label: str, repeats: int = 3, jobs: int = 1,
-           cache: str = "default", cohort: bool = False,
-           homogeneous: bool = False, devices: int = DEVICES,
-           transport: str = "local", trace: str = "default",
-           rejoin: bool = True) -> dict:
+           cache: str = "default", devices: int = DEVICES,
+           transport: str = "local") -> dict:
     """Append one measurement record to BENCH_fleet.json.  The stored
     label is annotated with everything that disambiguates the row —
-    two rows are only comparable when jobs, cache state, population
-    shape, cohort mode, trace-tier state, and host CPU count all
-    match."""
+    two rows are only comparable when jobs, cache state, fleet size,
+    transport, and host CPU count all match."""
     entry = {
         "label": f"{label} [jobs={jobs} cache={cache} "
-                 f"cohort={'on' if cohort else 'off'} "
-                 f"{'homogeneous' if homogeneous else 'jittered'} "
                  f"devices={devices} transport={transport} "
-                 f"trace={trace} "
-                 f"rejoin={'on' if rejoin else 'off'} "
                  f"cpus={os.cpu_count()}]",
         "date": time.strftime("%Y-%m-%d %H:%M:%S"),
         "repeats": repeats,
-        "results": run_benchmarks(repeats, jobs, cache, cohort,
-                                  homogeneous, devices, transport,
-                                  trace, rejoin),
+        "results": run_benchmarks(repeats, jobs, cache, devices,
+                                  transport),
     }
     history = []
     if BENCH_JSON.exists():
@@ -279,18 +216,6 @@ def test_fleet_throughput_smoke():
     assert rate > 0
 
 
-def test_fleet_cohort_smoke():
-    rate = bench_campaign(devices=2, hours=0.001, cohort=True,
-                          homogeneous=True)
-    assert rate > 0
-
-
-def test_fleet_warm_trace_smoke():
-    rate = bench_campaign(devices=2, hours=0.001, cohort=True,
-                          trace="warm")
-    assert rate > 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="fleet campaign throughput microbenchmark")
@@ -309,44 +234,22 @@ def main() -> int:
                         choices=CACHE_STATES,
                         help="execution-cache state the campaign "
                              "starts from (see module docstring)")
-    parser.add_argument("--cohort", default="off",
-                        choices=("on", "off"),
-                        help="cohort lockstep execution (pair with "
-                             "--homogeneous for the one-firmware-fleet "
-                             "scenario)")
-    parser.add_argument("--homogeneous", action="store_true",
-                        help="clone device 0 fleet-wide instead of "
-                             "the jittered population")
     parser.add_argument("--devices", type=int, default=DEVICES,
-                        metavar="N",
-                        help="fleet size (cohort rows want enough "
-                             "clones per worker to amortize the "
-                             "leader)")
+                        metavar="N", help="fleet size")
     parser.add_argument(
         "--transport", default="local", choices=("local", "socket"),
         help="dispatch units to an in-process pool, or over loopback "
              "TCP to --jobs worker subprocesses (spawn and handshake "
              "included in the measured time)")
-    parser.add_argument("--trace", default="default",
-                        choices=CACHE_STATES,
-                        help="cohort trace-tier (.tbx) state the "
-                             "campaign starts from (mirrors --cache)")
-    parser.add_argument("--rejoin", default="on",
-                        choices=("on", "off"),
-                        help="dispatch-boundary rejoin for forked "
-                             "cohort followers")
     parser.add_argument(
         "--check-floor", type=float, default=None, metavar="RATE",
         help="CI mode: run without recording, exit 1 unless "
              "device-sim-hours/s >= RATE (uses the first --jobs value)")
     args = parser.parse_args()
-    cohort = args.cohort == "on"
-    rejoin = args.rejoin == "on"
     if args.check_floor is not None:
         results = run_benchmarks(args.repeats, args.jobs[0],
-                                 args.cache, cohort,
-                                 args.homogeneous, args.devices,
-                                 args.transport, args.trace, rejoin)
+                                 args.cache, args.devices,
+                                 args.transport)
         rate = results["device_sim_hours_per_sec"]
         ok = rate >= args.check_floor
         print(f"fleet throughput {rate} device-sim-hours/s "
@@ -355,8 +258,7 @@ def main() -> int:
         return 0 if ok else 1
     for jobs in args.jobs:
         entry = record(args.label, args.repeats, jobs, args.cache,
-                       cohort, args.homogeneous, args.devices,
-                       args.transport, args.trace, rejoin)
+                       args.devices, args.transport)
         print(json.dumps(entry, indent=2))
     return 0
 

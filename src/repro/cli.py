@@ -211,10 +211,8 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
                            report=print, cache_mode=args.cache_mode,
                            profile_dir=profile_dir,
                            crash_before_replace=args.crash_before_replace,
-                           cohort=args.cohort == "on",
                            crash_after_records=args.crash_after_records,
-                           transport=transport,
-                           rejoin=args.rejoin == "on")
+                           transport=transport)
     print(summary_text(summary))
     print(f"summary: {Path(args.out) / 'summary.json'}")
     if profile_dir is not None:
@@ -322,19 +320,6 @@ def _fleet_status_text(status: dict) -> str:
         lines.append(
             f"  no model in flight "
             f"({status.get('requeues', 0)} requeue(s) so far)")
-    cohort = status.get("cohort") or {}
-    if any(cohort.values()):
-        rate = status.get("trace_hit_rate")
-        lines.append(
-            f"  cohort: {cohort.get('cohort_replayed', 0)} replayed, "
-            f"{cohort.get('cohort_executed', 0)} executed, "
-            f"{cohort.get('cohort_forks', 0)} fork(s), "
-            f"{cohort.get('cohort_rejoins', 0)} rejoin(s); "
-            f"trace tier {cohort.get('trace_hits', 0)} hit(s) / "
-            f"{cohort.get('trace_misses', 0)} miss(es)"
-            + (f" ({rate:.0%} hit rate)"
-               if isinstance(rate, float) else "")
-            + f", {cohort.get('trace_published', 0)} published")
     workers = status.get("workers") or {}
     for worker_id in sorted(workers):
         row = workers[worker_id]
@@ -485,13 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="probability a device sideloads the "
                                 "rogue app")
     fleet_run.add_argument(
-        "--cache-mode", default="shared",
-        choices=("shared", "private", "step"),
+        "--cache-mode", default="shared", choices=("shared", "step"),
         help="execution-cache strategy: 'shared' publishes translated "
              "blocks process-wide so same-firmware devices skip "
-             "translation, 'private' keeps per-device caches, 'step' "
-             "is the reference interpreter (results are identical "
-             "across modes; only speed differs)")
+             "translation, 'step' is the reference interpreter "
+             "(results are identical across modes; only speed "
+             "differs)")
     fleet_run.add_argument(
         "--profile", action="store_true",
         help="profile the campaign: cProfile each work unit "
@@ -499,25 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
              "coordinator's queue-wait / checkpoint-stall breakdown "
              "to <out>/profiles/coordinator.json")
     fleet_run.add_argument(
-        "--cohort", default="off", choices=("on", "off"),
-        help="lockstep same-firmware devices: group them into shared "
-             "work units, execute each segment once and replay the "
-             "recorded dispatch trace into state-identical siblings "
-             "(devices fork to real execution at first divergence); "
-             "an execution detail — summaries are byte-identical "
-             "on or off")
-    fleet_run.add_argument(
-        "--rejoin", default="on", choices=("on", "off"),
-        help="let a forked cohort follower re-handshake at each "
-             "later dispatch boundary and resume trace replay once "
-             "its state digest matches again (only with --cohort "
-             "on); an execution detail — summaries are "
-             "byte-identical on or off")
-    fleet_run.add_argument(
         "--homogeneous", action="store_true",
         help="clone device 0 across the whole fleet (one firmware "
-             "build for everyone) — campaign identity, used by the "
-             "cohort benchmark scenario")
+             "build for everyone) — campaign identity: it is hashed "
+             "into the campaign key and recorded in summary.json")
     fleet_run.add_argument(
         "--listen", metavar="HOST:PORT", default=None,
         help="serve the unit queue over TCP instead of an in-process "
@@ -562,8 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stable name for coordinator.json attribution "
              "(default: <hostname>-<pid>)")
     fleet_worker.add_argument(
-        "--cache-mode", default=None,
-        choices=("shared", "private", "step"),
+        "--cache-mode", default=None, choices=("shared", "step"),
         help="override the coordinator's execution-cache strategy on "
              "this worker (results are identical; only speed differs)")
     fleet_worker.add_argument(
@@ -596,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_status = fleet_sub.add_parser(
         "status",
         help="one-shot live view of a campaign: per-worker "
-             "throughput, queue depth, trace-tier hit rates")
+             "throughput, queue depth, requeues")
     fleet_status.add_argument(
         "target", metavar="OUT_DIR|HOST:PORT",
         help="a campaign out-dir (reads the status.json the "

@@ -12,8 +12,9 @@ scaling regression in ``BENCH_fleet.json``.
   buffer (pickling is CPU work that cannot move off-thread cheaply —
   the snapshot aliases live machine state that keeps mutating), then
   hands the finished buffer off and simulates on;
-* the **writer thread** flushes the previous buffer: write the bytes
-  to a per-process temp file, then :func:`os.replace` it into place.
+* the **writer thread** flushes the previous buffer through a sink —
+  for local files, write the bytes to a per-process temp file, then
+  :func:`os.replace` it into place.
 
 The hand-off queue holds exactly one buffer, which is what makes this
 *double* buffering: at any moment one buffer is being filled and at
@@ -22,12 +23,19 @@ most one is being flushed.  When the simulation outruns the disk,
 is recorded as ``stall_s`` and surfaces in the coordinator's profile,
 so "checkpoint-bound" shows up as a number instead of a mystery.
 
-Crash atomicity: the rename is the commit point.  A worker killed
-before the rename leaves a complete previous checkpoint plus a stale
-``.tmp`` file (ignored on resume); killed after, the new checkpoint is
-complete.  There is no window in which the checkpoint path holds a
-torn file.  The ``crash_after_writes`` / ``crash_before_replace``
-knobs let tests die (``os._exit``) at exactly those two points.
+Where a flushed buffer goes is the **sink**'s business: the local
+path passes :class:`CheckpointFiles`, and the network worker passes a
+sink that ships the payload as a checkpoint frame, so both get the
+same overlap and the same ``stall_s``/``flushes``/``bytes_written``
+accounting.
+
+Crash atomicity (:class:`CheckpointFiles`): the rename is the commit
+point.  A worker killed before the rename leaves a complete previous
+checkpoint plus a stale ``.tmp`` file (ignored on resume); killed
+after, the new checkpoint is complete.  There is no window in which
+the checkpoint path holds a torn file.  The ``crash_after_writes`` /
+``crash_before_replace`` knobs let tests die (``os._exit``) at
+exactly those two points.
 """
 
 from __future__ import annotations
@@ -40,38 +48,53 @@ from pathlib import Path
 from typing import Callable, Optional
 
 
-class AsyncCheckpointWriter:
-    """Background writer with a one-deep hand-off queue.
-
-    The flush destination is pluggable: by default ``submit``'s first
-    argument is a :class:`~pathlib.Path` and the flush is the
-    tmp-write + ``os.replace`` sequence below, but a ``sink`` callable
-    replaces that whole step — the network worker passes a sink that
-    sends the payload as a checkpoint frame over its socket, so wire
-    shipping gets the same double-buffered overlap (and the same
-    ``stall_s``/``flushes``/``bytes_written`` accounting) as local
-    disk writes.  With a sink, ``submit``'s first argument is an
-    opaque key the sink interprets.
+class CheckpointFiles:
+    """The local checkpoint sink: ``key`` maps to a file through
+    ``path_for``, and each payload is written to a per-process temp
+    file, then renamed into place.
 
     ``crash_after_writes=N``  — ``os._exit(3)`` right after the Nth
     rename commits (a worker dying between checkpoints).
     ``crash_before_replace=N`` — ``os._exit(3)`` after the Nth temp
     file is fully written but *before* its rename (a worker dying
     mid-checkpoint-write; resume must fall back to write N-1).
-    Both knobs apply to the default file sink only.
     """
 
-    def __init__(self, crash_after_writes: int = 0,
-                 crash_before_replace: int = 0,
-                 sink: Optional[Callable[[object, bytes], None]] = None):
+    def __init__(self, path_for: Callable[[object], Path],
+                 crash_after_writes: int = 0,
+                 crash_before_replace: int = 0):
+        self._path_for = path_for
+        self._crash_after = crash_after_writes
+        self._crash_before_replace = crash_before_replace
+        self.writes = 0
+
+    def __call__(self, key, payload: bytes) -> None:
+        path = self._path_for(key)
+        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
+        tmp.write_bytes(payload)
+        if 0 < self._crash_before_replace <= self.writes + 1:
+            os._exit(3)       # die mid-write: temp exists, no rename
+        os.replace(tmp, path)
+        self.writes += 1
+        if 0 < self._crash_after <= self.writes:
+            os._exit(3)       # die between checkpoints
+
+
+class AsyncCheckpointWriter:
+    """Background writer with a one-deep hand-off queue.
+
+    ``sink(key, payload)`` runs on the writer thread for every
+    submitted checkpoint; ``key`` is opaque here and means whatever the
+    sink makes of it (the fleet runners pass the device id).
+    """
+
+    def __init__(self, sink: Callable[[object, bytes], None]):
         self._queue: "queue.Queue[Optional[tuple]]" = \
             queue.Queue(maxsize=1)
         self._thread: Optional[threading.Thread] = None
         self._error: Optional[BaseException] = None
         self._sink = sink
-        self._crash_after = crash_after_writes
-        self._crash_before_replace = crash_before_replace
-        #: completed flushes (renames that committed)
+        #: completed flushes (sink calls that returned)
         self.flushes = 0
         #: seconds the simulating thread spent blocked on a full
         #: hand-off queue (the disk falling behind the simulation)
@@ -82,16 +105,12 @@ class AsyncCheckpointWriter:
     # -- simulating-thread side ------------------------------------------
     def submit(self, key, payload: bytes) -> None:
         """Queue one serialized checkpoint for flushing; blocks only
-        while a previous flush is still in flight.  ``key`` is the
-        destination :class:`~pathlib.Path` (default sink) or whatever
-        the custom ``sink`` expects."""
+        while a previous flush is still in flight."""
         self._raise_pending()
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._run, name="ckpt-writer", daemon=True)
             self._thread.start()
-        if self._sink is None:
-            key = Path(key)
         start = time.perf_counter()
         self._queue.put((key, payload))
         self.stall_s += time.perf_counter() - start
@@ -137,18 +156,6 @@ class AsyncCheckpointWriter:
                 self._queue.task_done()
 
     def _flush(self, key, payload: bytes) -> None:
-        if self._sink is not None:
-            self._sink(key, payload)
-            self.flushes += 1
-            self.bytes_written += len(payload)
-            return
-        path: Path = key
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        tmp.write_bytes(payload)
-        if 0 < self._crash_before_replace <= self.flushes + 1:
-            os._exit(3)       # die mid-write: temp exists, no rename
-        os.replace(tmp, path)
+        self._sink(key, payload)
         self.flushes += 1
         self.bytes_written += len(payload)
-        if 0 < self._crash_after <= self.flushes:
-            os._exit(3)       # die between checkpoints

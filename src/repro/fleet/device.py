@@ -12,15 +12,13 @@ byte-identical to an uninterrupted one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.aft.cache import build_firmware
 from repro.aft.models import IsolationModel
 from repro.aft.phases import AppSource
 from repro.apps.catalog import load_app, load_suite
 from repro.errors import ReproError
-from repro.fleet.cohort import CohortStats, SegmentTrace, \
-    record_segment, replay_segment, state_digest
 from repro.fleet.population import ANALYTICS_APP, DeviceSpec, \
     ROGUE_APP, ROGUE_HANDLER, ROGUE_SOURCE
 from repro.fleet.snapshot import restore_device, snapshot_device
@@ -30,31 +28,25 @@ from repro.kernel.services import SensorEnvironment
 
 DEFAULT_CHECKPOINT_MS = 10 * 60 * 1000      # 10 simulated minutes
 
-#: execution-cache strategies a fleet device can run under.  All three
+#: execution-cache strategies a fleet device can run under.  Both
 #: produce byte-identical device state (the property tests pin this) —
 #: the choice only affects wall-clock speed:
 #:
 #: ``shared``   translated blocks are published to the process-wide
 #:              content-addressed store, so sibling devices running the
 #:              same firmware skip translation entirely (default)
-#: ``private``  per-device block cache, no cross-device sharing
 #: ``step``     no block translation at all — the one-instruction-at-a-
 #:              time reference interpreter (differential-testing oracle)
-CACHE_MODES = ("shared", "private", "step")
+CACHE_MODES = ("shared", "step")
 
 
-def _machine_cache_kwargs(cache_mode: str) -> dict:
-    """Map a fleet-level cache mode onto AmuletMachine's knobs."""
-    try:
-        return {
-            "shared": {"step_only": False, "shared_cache": True},
-            "private": {"step_only": False, "shared_cache": False},
-            "step": {"step_only": True, "shared_cache": False},
-        }[cache_mode]
-    except KeyError:
+def _step_only(cache_mode: str) -> bool:
+    """Map a fleet-level cache mode onto AmuletMachine's ``step_only``."""
+    if cache_mode not in CACHE_MODES:
         raise ReproError(
             f"unknown cache mode {cache_mode!r} "
-            f"(choose from {', '.join(CACHE_MODES)})") from None
+            f"(choose from {', '.join(CACHE_MODES)})")
+    return cache_mode == "step"
 
 
 @dataclass
@@ -98,7 +90,7 @@ def make_device(spec: DeviceSpec, model: IsolationModel,
     firmware = build_firmware(model, apps)
     machine = AmuletMachine(firmware,
                             env=SensorEnvironment(spec.env_seed),
-                            **_machine_cache_kwargs(cache_mode))
+                            step_only=_step_only(cache_mode))
     scheduler = Scheduler(machine, policy=RestartPolicy.RESTART_AFTER,
                           restart_cooldown_ms=spec.restart_cooldown_ms)
     schedules: Dict[str, AppSchedule] = {}
@@ -146,113 +138,3 @@ def simulate_device(spec: DeviceSpec, model: IsolationModel,
 
     return DeviceRun(spec=spec, machine=machine, scheduler=scheduler,
                      sim_ms=sim_ms, rogue_built=rogue_built)
-
-
-def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
-                    sim_ms: int,
-                    checkpoint_every_ms: int = DEFAULT_CHECKPOINT_MS,
-                    on_checkpoint: Optional[Callable[[int, int, dict],
-                                                     None]] = None,
-                    resumes: Optional[Dict[int, dict]] = None,
-                    cache_mode: str = "shared",
-                    stats: Optional[CohortStats] = None,
-                    rejoin: bool = True,
-                    tier=None) -> Dict[int, DeviceRun]:
-    """Run (or resume) several devices together, lockstep where their
-    firmware and state coincide (see :mod:`repro.fleet.cohort`).
-
-    Devices advance segment by segment, interleaved: all devices at
-    the earliest pending segment run it before anyone moves on.  The
-    first device to run a ``(firmware, segment)`` pair *from a given
-    pre-state* records a trace; every later same-firmware device at
-    that segment whose state digest matches replays it.  A device
-    matching nothing executes normally (recording its own variant
-    when the persistent ``tier`` — a
-    :class:`repro.fleet.tracetier.TraceTier` — is attached, so a
-    rerun, a sibling unit, or a remote worker replays it next time),
-    and with ``rejoin`` a mid-segment divergence can re-enter
-    lockstep at a later dispatch boundary.  In-memory traces die as
-    soon as no device can still use them, bounding trace memory to
-    roughly the resume-point spread.
-
-    ``on_checkpoint(device_id, sim_ms, snapshot)`` fires at every
-    interior segment boundary (note the extra leading ``device_id``
-    compared to :func:`simulate_device`'s callback); ``resumes`` maps
-    device id to a snapshot.  Results are byte-identical to running
-    :func:`simulate_device` per device — with the tier cold, warm,
-    or absent, rejoin on or off — the tests pin this.
-    """
-    resumes = resumes or {}
-    stats = stats if stats is not None else CohortStats()
-
-    devices: Dict[int, tuple] = {}
-    position: Dict[int, int] = {}
-    for spec in specs:
-        machine, scheduler, rogue_built = make_device(
-            spec, model, cache_mode=cache_mode)
-        start_ms = 0
-        resume = resumes.get(spec.device_id)
-        if resume is not None:
-            start_ms = restore_device(machine, scheduler, resume)
-        devices[spec.device_id] = (spec, machine, scheduler,
-                                   rogue_built)
-        position[spec.device_id] = start_ms
-
-    order = [spec.device_id for spec in specs]
-    #: (base_sha, start_ms) -> {pre-state digest: trace}
-    traces: Dict[tuple, Dict[str, SegmentTrace]] = {}
-    while True:
-        pending = [p for p in position.values() if p < sim_ms]
-        if not pending:
-            break
-        t = min(pending)
-        end = min(t + checkpoint_every_ms, sim_ms)
-        for device_id in order:
-            if position[device_id] != t:
-                continue
-            spec, machine, scheduler, _rogue = devices[device_id]
-            key = (machine.base_sha, t)
-            bucket = traces.setdefault(key, {})
-            pre_sha = state_digest(machine)
-            trace = bucket.get(pre_sha)
-            if trace is None and tier is not None:
-                trace = tier.load(machine.base_sha, t, end, pre_sha)
-                if trace is not None:
-                    bucket[pre_sha] = trace
-                    stats.trace_hits += 1
-                else:
-                    stats.trace_misses += 1
-            if trace is not None:
-                replay_segment(machine, scheduler, trace, t, end,
-                               stats, rejoin=rejoin, pre_sha=pre_sha)
-            elif not bucket or tier is not None:
-                # lead this (segment, state): record — and persist,
-                # so the next unit/process/worker replays instead
-                trace = record_segment(machine, scheduler, t, end,
-                                       stats, pre_sha=pre_sha)
-                bucket[pre_sha] = trace
-                if tier is not None and tier.publish(trace):
-                    stats.trace_published += 1
-            else:
-                # no tier and a leader already recorded this segment
-                # from a different state: the handshake rejects and
-                # the device executes (rejoining mid-segment if its
-                # state converges onto the leader's)
-                first = next(iter(bucket.values()))
-                replay_segment(machine, scheduler, first, t, end,
-                               stats, rejoin=rejoin, pre_sha=pre_sha)
-            position[device_id] = end
-            if on_checkpoint is not None and end < sim_ms:
-                on_checkpoint(device_id, end,
-                              snapshot_device(machine, scheduler, end))
-        # a trace is only usable by a device *at* its start segment;
-        # everyone at this round's segment has moved past it
-        horizon = min(position.values())
-        traces = {key: trace for key, trace in traces.items()
-                  if key[1] >= horizon}
-
-    return {
-        device_id: DeviceRun(
-            spec=entry[0], machine=entry[1], scheduler=entry[2],
-            sim_ms=sim_ms, rogue_built=entry[3])
-        for device_id, entry in devices.items()}

@@ -49,11 +49,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.aft.models import IsolationModel
 from repro.errors import ReproError
-from repro.fleet.ckptio import AsyncCheckpointWriter
-from repro.fleet.cohort import CohortStats
-from repro.fleet.device import simulate_cohort, simulate_device
+from repro.fleet.ckptio import AsyncCheckpointWriter, CheckpointFiles
+from repro.fleet.device import simulate_device
 from repro.fleet.population import device_spec
 from repro.fleet.snapshot import STATE_VERSION, checkpoint_bytes, \
     parse_checkpoint
@@ -79,8 +77,8 @@ class FleetConfig:
     seed: int = 0
     checkpoint_minutes: float = 10.0
     rogue_fraction: float = 0.125
-    #: every device a clone of device 0 (the cohort showcase) — see
-    #: :func:`repro.fleet.population.device_spec`
+    #: every device a clone of device 0 (campaign identity, see
+    #: :func:`repro.fleet.population.device_spec`)
     homogeneous: bool = False
 
     def __post_init__(self) -> None:
@@ -138,37 +136,6 @@ def plan_units(device_ids: List[int], jobs: int) -> List[List[int]]:
     size = max(1, -(-len(device_ids) // target))
     return [device_ids[i:i + size]
             for i in range(0, len(device_ids), size)]
-
-
-def plan_cohort_units(config: "FleetConfig", model: IsolationModel,
-                      device_ids: List[int],
-                      jobs: int) -> List[List[int]]:
-    """Cohort-aware planning: same-firmware devices land in one unit.
-
-    Lockstep only pays when a unit holds several devices of one
-    firmware identity — ``(app subset, rogue built)``, the inputs to
-    :func:`repro.fleet.device.build_device_apps` — so devices are
-    grouped by that signature and each group is chunked into at most
-    ``jobs`` units (big units maximize in-unit lockstep, the per-group
-    split keeps every worker fed).  Unit layout is an execution
-    detail: results are byte-identical to :func:`plan_units` layouts.
-    """
-    groups: Dict[tuple, List[int]] = {}
-    for device_id in device_ids:
-        spec = device_spec(config.seed, device_id,
-                           config.rogue_fraction, config.homogeneous)
-        rogue_built = (spec.rogue and
-                       model is not IsolationModel.FEATURE_LIMITED)
-        groups.setdefault((spec.apps, rogue_built),
-                          []).append(device_id)
-    units: List[List[int]] = []
-    for signature in sorted(groups):
-        members = groups[signature]
-        size = max(1, -(-len(members) // max(1, jobs)))
-        units.extend(members[i:i + size]
-                     for i in range(0, len(members), size))
-    units.sort(key=lambda unit: unit[0])
-    return units
 
 
 def _shards_dir(out_dir: Path) -> Path:
@@ -247,144 +214,57 @@ def scan_completed_records(out_dir: Path,
     return records
 
 
-def run_unit(config_dict: dict, model_key: str,
-             device_ids: List[int], out_dir: str,
-             crash_after_checkpoints: int = 0,
-             crash_before_replace: int = 0,
-             cache_mode: str = "shared",
-             profile_dir: Optional[str] = None,
-             cohort: bool = False,
-             crash_after_records: int = 0,
-             rejoin: bool = True) -> dict:
-    """Worker entry point: run (or resume) one work unit.
+def run_devices(config: FleetConfig, model_key: str,
+                device_ids: List[int], cache_mode: str,
+                resume: Callable[[int], Optional[dict]],
+                sink: Callable[[int, bytes], None],
+                commit: Callable[[int, dict], None]) -> dict:
+    """Run (or resume) one work unit's devices, one by one.
 
-    Returns ``{"records": {device_id: record}, "stats": {...}}`` —
-    the stats feed the coordinator's profile (checkpoint flush stalls,
-    lockstep replay counts, trace-tier hit rates, wall time) so
-    "checkpoint-bound" and "queue-bound" show up as numbers.
-    ``crash_after_checkpoints`` / ``crash_before_replace`` /
-    ``crash_after_records`` are crash-injection hooks (``os._exit``
-    after the Nth committed checkpoint, after the Nth checkpoint temp
-    write but before its rename, or after the Nth record line was
-    flushed but before its checkpoint was unlinked) for the
-    kill-and-resume tests.  ``cache_mode``, ``cohort`` and ``rejoin``
-    pick execution strategies; like ``--jobs`` they never change
-    results.
+    This is the only device loop: the local pool (:func:`run_unit`)
+    and the network worker (:mod:`repro.fleet.net.worker`) differ only
+    in the three callables.  ``resume(device_id)`` returns the device's
+    newest checkpoint snapshot or ``None``; ``sink(device_id,
+    payload)`` lands one serialized checkpoint and runs on the
+    :class:`~repro.fleet.ckptio.AsyncCheckpointWriter` thread;
+    ``commit(device_id, record)`` makes a finished device durable.
+
+    Commit order per device: simulate, drain the in-flight checkpoint
+    flushes, then commit — so a sink never sees a device's checkpoint
+    after the record that retires it, and a kill between any two steps
+    leaves a resumable state.
+
+    Returns ``{"records": {device_id: record}, "stats": {...}}``; the
+    stats feed the coordinator's profile (checkpoint flushes, stalls
+    and bytes, wall time).
     """
-    if profile_dir is not None:
-        import cProfile
-        prof_path = (Path(profile_dir)
-                     / f"{model_key}-u{device_ids[0]:05d}.prof")
-        prof_path.parent.mkdir(parents=True, exist_ok=True)
-        profile = cProfile.Profile()
-        profile.enable()
-        try:
-            return _run_unit(config_dict, model_key, device_ids,
-                             out_dir, crash_after_checkpoints,
-                             crash_before_replace, cache_mode,
-                             cohort, crash_after_records, rejoin)
-        finally:
-            profile.disable()
-            profile.dump_stats(str(prof_path))
-    return _run_unit(config_dict, model_key, device_ids, out_dir,
-                     crash_after_checkpoints, crash_before_replace,
-                     cache_mode, cohort, crash_after_records, rejoin)
-
-
-def _run_unit(config_dict: dict, model_key: str,
-              device_ids: List[int], out_dir: str,
-              crash_after_checkpoints: int,
-              crash_before_replace: int, cache_mode: str,
-              cohort: bool, crash_after_records: int,
-              rejoin: bool = True) -> dict:
     t_start = time.time()
-    config = FleetConfig(**{**config_dict,
-                            "models": tuple(config_dict["models"])})
     config_key = config.key()
     model = MODELS_BY_KEY[model_key]
-    out = Path(out_dir)
-    _shards_dir(out).mkdir(parents=True, exist_ok=True)
-    stream_path = _unit_stream_path(out, model_key, device_ids[0])
-
     records: Dict[int, dict] = {}
-    records_written = 0
-    cohort_stats = CohortStats()
-    writer = AsyncCheckpointWriter(
-        crash_after_writes=crash_after_checkpoints,
-        crash_before_replace=crash_before_replace)
+    writer = AsyncCheckpointWriter(sink)
 
-    def load_resume(device_id: int) -> Optional[dict]:
-        ckpt_path = _ckpt_path(out, model_key, device_id)
-        if ckpt_path.exists():
-            return parse_checkpoint(ckpt_path.read_bytes(),
-                                    config_key, device_id)
-        return None
+    def submit_checkpoint(device_id: int, snapshot: dict) -> None:
+        # serialize here (this thread), flush over there (the writer
+        # thread) — the double-buffer hand-off
+        writer.submit(device_id,
+                      checkpoint_bytes(config_key, device_id, snapshot))
 
-    def submit_checkpoint(device_id: int, sim_ms: int,
-                          snapshot: dict) -> None:
-        # serialize here (this thread), flush over there (the
-        # writer thread) — the double-buffer hand-off
-        writer.submit(_ckpt_path(out, model_key, device_id),
-                      checkpoint_bytes(config_key, device_id,
-                                       snapshot))
-
-    def commit_record(stream, device_id: int) -> None:
-        # commit order matters: drain pending checkpoint flushes,
-        # record the completion, then drop the checkpoint — a kill
-        # between any two steps leaves a resumable state (the
-        # record-before-unlink window leaves a stale checkpoint the
-        # coordinator's resume scan drops)
-        nonlocal records_written
-        stream.write(record_line(records[device_id]))
-        stream.flush()
-        records_written += 1
-        if 0 < crash_after_records <= records_written:
-            os._exit(3)      # die with the checkpoint still on disk
-        _unlink_quiet(_ckpt_path(out, model_key, device_id))
-
-    # append mode: a resumed unit adds only devices that were still
-    # pending; the coordinator deduplicates by device id on scan
-    with stream_path.open("a") as stream, writer:
-        if cohort:
-            specs = [device_spec(config.seed, device_id,
-                                 config.rogue_fraction,
-                                 config.homogeneous)
-                     for device_id in device_ids]
-            resumes = {device_id: resume for device_id in device_ids
-                       if (resume := load_resume(device_id))
-                       is not None}
-            from repro.fleet.tracetier import trace_tier
-            runs = simulate_cohort(
-                specs, model, sim_ms=config.sim_ms,
+    with writer:
+        for device_id in device_ids:
+            spec = device_spec(config.seed, device_id,
+                               config.rogue_fraction,
+                               config.homogeneous)
+            run = simulate_device(
+                spec, model, sim_ms=config.sim_ms,
                 checkpoint_every_ms=config.checkpoint_ms,
-                on_checkpoint=submit_checkpoint,
-                resumes=resumes, cache_mode=cache_mode,
-                stats=cohort_stats, rejoin=rejoin,
-                tier=trace_tier())
+                on_checkpoint=lambda _sim_ms, snapshot,
+                _device=device_id: submit_checkpoint(_device, snapshot),
+                resume=resume(device_id),
+                cache_mode=cache_mode)
+            records[device_id] = device_record(run, model_key)
             writer.drain()
-            # records commit only once the whole cohort finished (the
-            # devices advance interleaved); a kill mid-unit resumes
-            # every member from its newest checkpoint
-            for device_id in device_ids:
-                records[device_id] = device_record(runs[device_id],
-                                                   model_key)
-                commit_record(stream, device_id)
-        else:
-            for device_id in device_ids:
-                spec = device_spec(config.seed, device_id,
-                                   config.rogue_fraction,
-                                   config.homogeneous)
-                run = simulate_device(
-                    spec, model, sim_ms=config.sim_ms,
-                    checkpoint_every_ms=config.checkpoint_ms,
-                    on_checkpoint=lambda sim_ms, snapshot,
-                    _device=device_id: submit_checkpoint(
-                        _device, sim_ms, snapshot),
-                    resume=load_resume(device_id),
-                    cache_mode=cache_mode)
-                records[device_id] = device_record(run, model_key)
-                writer.drain()
-                commit_record(stream, device_id)
+            commit(device_id, records[device_id])
     return {
         "records": records,
         "stats": {
@@ -394,15 +274,93 @@ def _run_unit(config_dict: dict, model_key: str,
             "ckpt_flushes": writer.flushes,
             "ckpt_stall_s": round(writer.stall_s, 6),
             "ckpt_bytes": writer.bytes_written,
-            "cohort_replayed": cohort_stats.replayed,
-            "cohort_executed": cohort_stats.executed,
-            "cohort_forks": cohort_stats.forks,
-            "cohort_rejoins": cohort_stats.rejoins,
-            "trace_hits": cohort_stats.trace_hits,
-            "trace_misses": cohort_stats.trace_misses,
-            "trace_published": cohort_stats.trace_published,
         },
     }
+
+
+def run_unit(config_dict: dict, model_key: str,
+             device_ids: List[int], out_dir: str,
+             crash_after_checkpoints: int = 0,
+             crash_before_replace: int = 0,
+             cache_mode: str = "shared",
+             profile_dir: Optional[str] = None,
+             crash_after_records: int = 0) -> dict:
+    """Pool-worker entry point: run (or resume) one work unit against
+    the campaign's files, returning what :func:`run_devices` returns.
+
+    ``crash_after_checkpoints`` / ``crash_before_replace`` /
+    ``crash_after_records`` are crash-injection hooks (``os._exit``
+    after the Nth committed checkpoint, after the Nth checkpoint temp
+    write but before its rename, or after the Nth record line was
+    flushed but before its checkpoint was unlinked) for the
+    kill-and-resume tests.  ``cache_mode`` picks an execution
+    strategy; like ``--jobs`` it never changes results.
+    """
+    if profile_dir is None:
+        return _run_unit(config_dict, model_key, device_ids, out_dir,
+                         crash_after_checkpoints, crash_before_replace,
+                         cache_mode, crash_after_records)
+    import cProfile
+    prof_path = (Path(profile_dir)
+                 / f"{model_key}-u{device_ids[0]:05d}.prof")
+    prof_path.parent.mkdir(parents=True, exist_ok=True)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        return _run_unit(config_dict, model_key, device_ids, out_dir,
+                         crash_after_checkpoints, crash_before_replace,
+                         cache_mode, crash_after_records)
+    finally:
+        profile.disable()
+        profile.dump_stats(str(prof_path))
+
+
+def _run_unit(config_dict: dict, model_key: str,
+              device_ids: List[int], out_dir: str,
+              crash_after_checkpoints: int,
+              crash_before_replace: int, cache_mode: str,
+              crash_after_records: int) -> dict:
+    """:func:`run_devices` over files: checkpoints resume from and
+    land in ``shards/``, records append to the unit's stream."""
+    config = FleetConfig(**{**config_dict,
+                            "models": tuple(config_dict["models"])})
+    config_key = config.key()
+    out = Path(out_dir)
+    _shards_dir(out).mkdir(parents=True, exist_ok=True)
+    records_written = 0
+
+    def ckpt_path(device_id: int) -> Path:
+        return _ckpt_path(out, model_key, device_id)
+
+    def resume(device_id: int) -> Optional[dict]:
+        path = ckpt_path(device_id)
+        if path.exists():
+            return parse_checkpoint(path.read_bytes(), config_key,
+                                    device_id)
+        return None
+
+    def commit(device_id: int, record: dict) -> None:
+        # record the completion, then drop the checkpoint (the
+        # record-before-unlink window leaves a stale checkpoint the
+        # coordinator's resume scan drops)
+        nonlocal records_written
+        stream.write(record_line(record))
+        stream.flush()
+        records_written += 1
+        if 0 < crash_after_records <= records_written:
+            os._exit(3)      # die with the checkpoint still on disk
+        _unlink_quiet(ckpt_path(device_id))
+
+    # append mode: a resumed unit adds only devices that were still
+    # pending; the coordinator deduplicates by device id on scan
+    with _unit_stream_path(out, model_key,
+                           device_ids[0]).open("a") as stream:
+        return run_devices(
+            config, model_key, device_ids, cache_mode, resume,
+            CheckpointFiles(ckpt_path,
+                            crash_after_writes=crash_after_checkpoints,
+                            crash_before_replace=crash_before_replace),
+            commit)
 
 
 # -- transports -------------------------------------------------------------
@@ -435,8 +393,8 @@ class LocalTransport:
 
     def open_campaign(self, campaign: dict) -> None:
         """``campaign`` carries the shared context: ``config_dict``,
-        ``config_key``, ``out_dir``, ``cache_mode``, ``cohort``,
-        ``profile_dir`` and the ``say`` reporter."""
+        ``config_key``, ``out_dir``, ``cache_mode``, ``profile_dir``
+        and the ``say`` reporter."""
         self._campaign = campaign
 
     def run_units(self, model_key: str, units: List[List[int]]):
@@ -450,8 +408,7 @@ class LocalTransport:
                     unit, campaign["out_dir"], self._crash_after,
                     self._crash_before_replace,
                     campaign["cache_mode"], campaign["profile_dir"],
-                    campaign["cohort"], self._crash_after_records,
-                    campaign.get("rejoin", True))
+                    self._crash_after_records)
                 submitted[future] = (unit, t_submit)
             # stream the fold: consume results the moment any worker
             # finishes a unit, in completion order
@@ -472,13 +429,12 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
                  cache_mode: str = "shared",
                  profile_dir: Optional[Path] = None,
                  crash_before_replace: int = 0,
-                 cohort: bool = False,
                  crash_after_records: int = 0,
-                 transport=None, rejoin: bool = True) -> dict:
+                 transport=None) -> dict:
     """Run (or resume) a whole campaign; returns the summary dict.
 
-    ``jobs``, ``cache_mode``, ``cohort``, ``rejoin``, the transport
-    and the profiling/crash knobs are execution details — they never
+    ``jobs``, ``cache_mode``, the transport and the profiling/crash
+    knobs are execution details — they never
     change the results and are free to differ between the original
     run and a resume.  ``transport`` defaults to an in-process
     :class:`LocalTransport` pool of ``jobs`` workers; pass a
@@ -531,8 +487,7 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
     if profile_dir is not None:
         profile_dir = Path(profile_dir)
         profile_dir.mkdir(parents=True, exist_ok=True)
-        coordinator_profile = {"jobs": jobs, "cohort": cohort,
-                               "rejoin": rejoin, "models": {}}
+        coordinator_profile = {"jobs": jobs, "models": {}}
 
     if transport is None:
         transport = LocalTransport(
@@ -544,8 +499,6 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
         "config_key": config.key(),
         "out_dir": str(out_dir),
         "cache_mode": cache_mode,
-        "cohort": cohort,
-        "rejoin": rejoin,
         "profile_dir": str(profile_dir)
         if profile_dir is not None else None,
         "say": say,
@@ -555,7 +508,7 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
 
     try:
         _run_models(config, out_dir, jobs, transport, fold,
-                    coordinator_profile, cohort, say)
+                    coordinator_profile, say)
     finally:
         transport.close()
 
@@ -586,7 +539,7 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
 
 def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
                 transport, fold: SummaryFold,
-                coordinator_profile: Optional[dict], cohort: bool,
+                coordinator_profile: Optional[dict],
                 say: Callable[[str], None]) -> None:
     """Per-model unit planning, dispatch through the transport, and
     incremental folding — the coordinator's inner loop."""
@@ -621,15 +574,10 @@ def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
             _unlink_quiet(_ckpt_path(out_dir, model_key, device_id))
         pending = [device_id for device_id in range(config.devices)
                    if device_id not in done]
-        if cohort:
-            units = plan_cohort_units(config, MODELS_BY_KEY[model_key],
-                                      pending, jobs)
-        else:
-            units = plan_units(pending, jobs)
+        units = plan_units(pending, jobs)
         say(f"{model_key}: {config.devices} devices "
             f"({len(pending)} pending) over {len(units)} work "
-            f"unit(s), jobs={jobs}"
-            + (", cohort lockstep" if cohort else ""))
+            f"unit(s), jobs={jobs}")
 
         unit_rows: List[dict] = []
         try:
@@ -653,16 +601,6 @@ def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
                     "ckpt_stall_s": stats["ckpt_stall_s"],
                     "ckpt_bytes": stats["ckpt_bytes"],
                     "worker": stats.get("worker"),
-                    "cohort_replayed": stats.get(
-                        "cohort_replayed", 0),
-                    "cohort_executed": stats.get(
-                        "cohort_executed", 0),
-                    "cohort_forks": stats.get("cohort_forks", 0),
-                    "cohort_rejoins": stats.get("cohort_rejoins", 0),
-                    "trace_hits": stats.get("trace_hits", 0),
-                    "trace_misses": stats.get("trace_misses", 0),
-                    "trace_published": stats.get(
-                        "trace_published", 0),
                 })
                 say(f"{model_key}: "
                     f"{fold.count(model_key)}/{config.devices} "
@@ -697,18 +635,4 @@ def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
                     row["ckpt_stall_s"] for row in unit_rows), 6),
                 "ckpt_bytes": sum(
                     row["ckpt_bytes"] for row in unit_rows),
-                "cohort_replayed": sum(
-                    row["cohort_replayed"] for row in unit_rows),
-                "cohort_executed": sum(
-                    row["cohort_executed"] for row in unit_rows),
-                "cohort_forks": sum(
-                    row["cohort_forks"] for row in unit_rows),
-                "cohort_rejoins": sum(
-                    row["cohort_rejoins"] for row in unit_rows),
-                "trace_hits": sum(
-                    row["trace_hits"] for row in unit_rows),
-                "trace_misses": sum(
-                    row["trace_misses"] for row in unit_rows),
-                "trace_published": sum(
-                    row["trace_published"] for row in unit_rows),
             }

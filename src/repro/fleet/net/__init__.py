@@ -8,9 +8,8 @@ speaks a length-prefixed JSONL protocol, and any number of
 ``repro fleet worker --connect host:port`` processes (on this host or
 any other) lease work units, fetch per-device checkpoints and warm
 translation-cache frames over a content-addressed blob channel, run
-them with the exact same :func:`~repro.fleet.device.simulate_device`
-/ :func:`~repro.fleet.device.simulate_cohort` paths a local worker
-uses, and stream results back.
+them through the same :func:`~repro.fleet.executor.run_devices` loop
+a local worker uses, and stream results back.
 
 Robustness is the design center, not an afterthought:
 

@@ -56,7 +56,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 from repro.errors import ReproError
-from repro.fleet import tracetier
 from repro.fleet.executor import _atomic_write, _ckpt_path, \
     _shards_dir, _unit_stream_path, _unlink_quiet
 from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
@@ -69,12 +68,6 @@ from repro.msp430.execcache import DISK_FORMAT, list_store_files, \
 #: a cProfile dump for one unit is tens of KB; anything bigger is not
 #: a profile
 _MAX_PROFILE = 8 * 1024 * 1024
-
-#: per-unit stats the coordinator accumulates for the live status view
-_UNIT_STAT_KEYS = ("cohort_replayed", "cohort_executed",
-                   "cohort_forks", "cohort_rejoins", "trace_hits",
-                   "trace_misses", "trace_published")
-
 
 def _is_loopback(host: str) -> bool:
     """Conservatively: only names that always resolve to the local
@@ -125,9 +118,7 @@ def _zero_stats(devices: List[int], now: float) -> dict:
     never did (the worker died after committing them)."""
     return {"devices": list(devices), "t_start": now, "t_end": now,
             "ckpt_flushes": 0, "ckpt_stall_s": 0.0, "ckpt_bytes": 0,
-            "cohort_replayed": 0, "cohort_executed": 0,
-            "cohort_forks": 0, "cohort_rejoins": 0, "trace_hits": 0,
-            "trace_misses": 0, "trace_published": 0, "worker": None}
+            "worker": None}
 
 
 class SocketTransport:
@@ -184,22 +175,13 @@ class SocketTransport:
         #: re-offering a 40+ MB exec cache to every reconnect was a
         #: measurable per-worker startup tax
         self._store_offers: List[dict] = []
-        self._trace_offers: List[dict] = []
         self._status_path: Optional[Path] = None
         self._status_at = 0.0
-        self._unit_totals: Dict[str, int] = {
-            key: 0 for key in _UNIT_STAT_KEYS}
 
     # -- executor-facing transport API -----------------------------------
     def open_campaign(self, campaign: dict) -> None:
         self._campaign = campaign
         self._store_offers = list_store_files()
-        # trace segments only replay inside cohort lockstep, so a
-        # cohort-off campaign would hash and ship .tbx stores that no
-        # worker can use
-        self._trace_offers = (
-            tracetier.list_store_files() if campaign.get("cohort")
-            else [])
         self._listener = socket.create_server((self.host, self.port))
         self.address = self._listener.getsockname()[:2]
         out_dir = Path(campaign["out_dir"])
@@ -278,8 +260,6 @@ class SocketTransport:
                 self._fold_bytes(channel, worker_id)
             st = self._state
             campaign = self._campaign
-            trace = self._unit_totals
-            lookups = trace["trace_hits"] + trace["trace_misses"]
             return {
                 "type": "status",
                 "campaign": campaign["config_key"]
@@ -295,10 +275,6 @@ class SocketTransport:
                 "connections": len(self._channels),
                 "workers": {worker_id: dict(row) for worker_id, row
                             in self._workers.items()},
-                "cohort": dict(trace),
-                "trace_hit_rate": round(
-                    trace["trace_hits"] / lookups, 4)
-                if lookups else None,
             }
 
     def _write_status(self, force: bool = False) -> None:
@@ -453,14 +429,11 @@ class SocketTransport:
             "campaign": config_key,
             "config": self._campaign["config_dict"],
             "cache_mode": self._campaign["cache_mode"],
-            "cohort": self._campaign["cohort"],
-            "rejoin": self._campaign.get("rejoin", True),
             "profile": self._campaign.get("profile_dir") is not None,
             "heartbeat_s": self.heartbeat_s,
             "idle_retry_s": self.idle_retry_s,
             "lease_timeout_s": self.lease_timeout_s,
             "stores": self._store_offers,
-            "trace_stores": self._trace_offers,
         })
         with self._lock:
             row = self._workers.get(worker_id)
@@ -622,8 +595,6 @@ class SocketTransport:
                 data = None
         elif name.startswith("sbx:"):
             data = read_store_file(name[len("sbx:"):])
-        elif name.startswith("tbx:"):
-            data = tracetier.read_store_file(name[len("tbx:"):])
         if data is None or blob_sha(data) != want_sha:
             channel.send({"type": "blob_missing", "name": name})
             return
@@ -737,10 +708,6 @@ class SocketTransport:
             row = self._workers.get(worker_id)
             if row is not None:
                 row["units_run"] += 1
-            for key in _UNIT_STAT_KEYS:
-                value = stats.get(key)
-                if isinstance(value, int):
-                    self._unit_totals[key] += value
             if lease is not None:
                 st.results.put((lease.devices, lease.t_submit, stats))
             else:

@@ -28,7 +28,7 @@ challenge c -> w      a secret is configured: prove you hold it —
                       reply with ``auth`` over the fresh nonce
 auth      w -> c      HMAC-SHA256(secret, nonce) for the challenge
 welcome   c -> w      handshake accepted: campaign key, config, cache
-                      mode, cohort flag, heartbeat cadence, store offers
+                      mode, heartbeat cadence, store offers
 reject    c -> w      handshake refused (stale campaign key, version
                       mismatch, failed auth) — the reason says which
 lease_req w -> c      give me work

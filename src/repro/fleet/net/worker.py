@@ -5,19 +5,21 @@ A worker is a loop around one connection: handshake (protocol,
 coordinator is configured with a shared secret — an HMAC
 challenge/response proving this worker holds it too), import any warm
 ``.sbx`` translation stores the coordinator offers, then lease units
-until the coordinator says shutdown.  Each lease runs through the
-exact same :func:`~repro.fleet.device.simulate_device` /
-:func:`~repro.fleet.device.simulate_cohort` code a local pool worker
-uses — the only difference is where the bytes go:
+until the coordinator says shutdown.  Each lease runs through
+:func:`~repro.fleet.executor.run_devices`, the device loop a local
+pool worker uses too — the only difference is where the bytes come
+from and go:
 
+* resumes are checkpoint blobs fetched by content hash before the
+  unit starts;
 * checkpoints are serialized on the simulating thread and shipped by
   the :class:`~repro.fleet.ckptio.AsyncCheckpointWriter`'s writer
   thread through a socket **sink**, keeping the local path's
   double-buffered overlap (and its stall accounting) on the wire;
 * each finished device is committed with a ``dev_done`` frame — the
   durable per-device commit that makes lease reassignment idempotent;
-* the unit ends with a ``result`` frame carrying the same stats dict
-  :func:`~repro.fleet.executor.run_unit` returns.
+* the unit ends with a ``result`` frame carrying the stats dict
+  :func:`~repro.fleet.executor.run_devices` returns.
 
 Report frames (``ckpt``/``dev_done``/``result``/``profile``) flow
 through a :class:`FrameBatcher`: they buffer until ``--batch-bytes``
@@ -52,17 +54,10 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.fleet import tracetier
-from repro.fleet.ckptio import AsyncCheckpointWriter
-from repro.fleet.cohort import CohortStats
-from repro.fleet.device import simulate_cohort, simulate_device
-from repro.fleet.executor import FleetConfig
+from repro.fleet.executor import FleetConfig, run_devices
 from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
     auth_mac, blob_sha, pack_batch
-from repro.fleet.population import device_spec
-from repro.fleet.snapshot import STATE_VERSION, checkpoint_bytes, \
-    parse_checkpoint
-from repro.fleet.telemetry import MODELS_BY_KEY, device_record
+from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
 from repro.msp430.execcache import DISK_FORMAT, have_store_file, \
     import_store_file
 
@@ -246,7 +241,7 @@ def _fetch_blob(batcher: FrameBatcher, channel: Channel, name: str,
 
 def _heartbeat(channel: Channel, interval: float,
                stop: threading.Event) -> None:
-    # ±10% jitter: workers sharing a start time (a cohort of systemd
+    # ±10% jitter: workers sharing a start time (a batch of systemd
     # units, a test harness) would otherwise ping in phase forever
     while not stop.wait(interval * (0.9 + 0.2 * random.random())):
         try:
@@ -256,50 +251,43 @@ def _heartbeat(channel: Channel, interval: float,
 
 
 def _import_stores(batcher: FrameBatcher, channel: Channel,
-                   offers: List[dict], say: Callable[[str], None],
-                   prefix: str = "sbx",
-                   have: Callable[[str], bool] = have_store_file,
-                   install: Callable[[str, bytes], int]
-                   = import_store_file,
-                   label: str = "translation") -> None:
-    """Warm this host's cache tiers from the coordinator's store
-    offers (``.sbx`` translation stores, ``.tbx`` trace stores);
-    every store is fetched by content hash and re-validated
-    frame-by-frame on import."""
+                   offers: List[dict],
+                   say: Callable[[str], None]) -> None:
+    """Warm this host's translation cache from the coordinator's
+    ``.sbx`` store offers; every store is fetched by content hash and
+    re-validated frame-by-frame on import."""
     for offer in offers:
         name = str(offer.get("name", ""))
         sha = offer.get("sha")
-        if not name or not isinstance(sha, str) or have(name):
+        if not name or not isinstance(sha, str) or \
+                have_store_file(name):
             continue
-        blob = _fetch_blob(batcher, channel, f"{prefix}:{name}", sha)
+        blob = _fetch_blob(batcher, channel, f"sbx:{name}", sha)
         if blob is None:
             continue
-        records = install(name, blob)
+        records = import_store_file(name, blob)
         if records:
-            say(f"imported {label} store {name} "
+            say(f"imported translation store {name} "
                 f"({records} records)")
 
 
 def _run_lease(batcher: FrameBatcher, channel: Channel, lease: dict,
-               config: FleetConfig, config_key: str, cache_mode: str,
-               cohort: bool, rejoin: bool, profile: bool,
+               config: FleetConfig, cache_mode: str, profile: bool,
                worker_id: str, crash_state: Dict[str, int]) -> None:
     """Run one leased unit, mirroring the local ``run_unit`` entry
     point: wire sinks in place of files, and — when the campaign
     profiles — a per-unit cProfile dump shipped home as a ``profile``
     frame so ``--profile`` output is transport-agnostic."""
     if not profile:
-        _simulate_lease(batcher, channel, lease, config, config_key,
-                        cache_mode, cohort, rejoin, worker_id,
-                        crash_state)
+        _simulate_lease(batcher, channel, lease, config, cache_mode,
+                        worker_id, crash_state)
         return
     import cProfile
     prof = cProfile.Profile()
     prof.enable()
     try:
-        _simulate_lease(batcher, channel, lease, config, config_key,
-                        cache_mode, cohort, rejoin, worker_id,
-                        crash_state)
+        _simulate_lease(batcher, channel, lease, config, cache_mode,
+                        worker_id, crash_state)
     finally:
         prof.disable()
     handle, prof_path = tempfile.mkstemp(suffix=".prof")
@@ -315,19 +303,17 @@ def _run_lease(batcher: FrameBatcher, channel: Channel, lease: dict,
 
 
 def _simulate_lease(batcher: FrameBatcher, channel: Channel,
-                    lease: dict, config: FleetConfig,
-                    config_key: str, cache_mode: str, cohort: bool,
-                    rejoin: bool, worker_id: str,
+                    lease: dict, config: FleetConfig, cache_mode: str,
+                    worker_id: str,
                     crash_state: Dict[str, int]) -> None:
-    """The local ``_run_unit`` loop over wire sinks."""
-    t_start = time.time()
+    """:func:`~repro.fleet.executor.run_devices` over the wire:
+    resumes come from prefetched checkpoint blobs, checkpoints leave
+    as ``ckpt`` frames, records as ``dev_done`` frames."""
     model_key = lease["model"]
     lease_id = lease["lease"]
     first = lease["first"]
     device_ids = [int(device) for device in lease["devices"]]
-    model = MODELS_BY_KEY[model_key]
-    cohort_stats = CohortStats()
-    records: Dict[int, dict] = {}
+    config_key = config.key()
 
     resumes: Dict[int, dict] = {}
     for device_text, sha in dict(lease.get("ckpts", {})).items():
@@ -338,7 +324,7 @@ def _simulate_lease(batcher: FrameBatcher, channel: Channel,
             continue                   # fresh start is byte-identical
         resumes[device] = parse_checkpoint(blob, config_key, device)
 
-    def sink(device_id, payload: bytes) -> None:
+    def sink(device_id: int, payload: bytes) -> None:
         batcher.add({"type": "ckpt", "model": model_key,
                      "device": device_id, "lease": lease_id},
                     blob=payload)
@@ -350,79 +336,18 @@ def _simulate_lease(batcher: FrameBatcher, channel: Channel,
                 pass
             os._exit(3)                # a worker dying mid-unit
 
-    writer = AsyncCheckpointWriter(sink=sink)
-
-    def submit_checkpoint(device_id: int, sim_ms: int,
-                          snapshot: dict) -> None:
-        writer.submit(device_id,
-                      checkpoint_bytes(config_key, device_id,
-                                       snapshot))
-
-    def commit_record(device_id: int) -> None:
-        # same commit order as the local path: drain the in-flight
-        # checkpoint sends, then the record — the batcher preserves
-        # production order, so the coordinator still sees each ckpt
-        # before the dev_done that retires it
+    def commit(device_id: int, record: dict) -> None:
+        # the batcher preserves production order, so the coordinator
+        # sees each ckpt before the dev_done that retires it
         batcher.add({"type": "dev_done", "model": model_key,
                      "device": device_id, "first": first,
-                     "lease": lease_id,
-                     "record": records[device_id]})
+                     "lease": lease_id, "record": record})
 
-    with writer:
-        if cohort:
-            specs = [device_spec(config.seed, device_id,
-                                 config.rogue_fraction,
-                                 config.homogeneous)
-                     for device_id in device_ids]
-            runs = simulate_cohort(
-                specs, model, sim_ms=config.sim_ms,
-                checkpoint_every_ms=config.checkpoint_ms,
-                on_checkpoint=submit_checkpoint,
-                resumes={device: resumes[device]
-                         for device in device_ids
-                         if device in resumes},
-                cache_mode=cache_mode, stats=cohort_stats,
-                rejoin=rejoin, tier=tracetier.trace_tier())
-            writer.drain()
-            for device_id in device_ids:
-                records[device_id] = device_record(runs[device_id],
-                                                   model_key)
-                commit_record(device_id)
-        else:
-            for device_id in device_ids:
-                spec = device_spec(config.seed, device_id,
-                                   config.rogue_fraction,
-                                   config.homogeneous)
-                run = simulate_device(
-                    spec, model, sim_ms=config.sim_ms,
-                    checkpoint_every_ms=config.checkpoint_ms,
-                    on_checkpoint=lambda sim_ms, snapshot,
-                    _device=device_id: submit_checkpoint(
-                        _device, sim_ms, snapshot),
-                    resume=resumes.get(device_id),
-                    cache_mode=cache_mode)
-                records[device_id] = device_record(run, model_key)
-                writer.drain()
-                commit_record(device_id)
-
+    result = run_devices(config, model_key, device_ids, cache_mode,
+                         resumes.get, sink, commit)
     batcher.add({"type": "result", "lease": lease_id,
                  "model": model_key,
-                 "stats": {
-                     "devices": list(device_ids),
-                     "t_start": t_start,
-                     "t_end": time.time(),
-                     "ckpt_flushes": writer.flushes,
-                     "ckpt_stall_s": round(writer.stall_s, 6),
-                     "ckpt_bytes": writer.bytes_written,
-                     "cohort_replayed": cohort_stats.replayed,
-                     "cohort_executed": cohort_stats.executed,
-                     "cohort_forks": cohort_stats.forks,
-                     "cohort_rejoins": cohort_stats.rejoins,
-                     "trace_hits": cohort_stats.trace_hits,
-                     "trace_misses": cohort_stats.trace_misses,
-                     "trace_published": cohort_stats.trace_published,
-                     "worker": worker_id,
-                 }})
+                 "stats": {**result["stats"], "worker": worker_id}})
 
 
 def _handshake(channel: Channel, campaign_key: Optional[str],
@@ -454,13 +379,10 @@ def _handshake(channel: Channel, campaign_key: Optional[str],
 
 
 def _work_loop(batcher: FrameBatcher, channel: Channel,
-               welcome: dict, config: FleetConfig,
-               config_key: str, cache_mode: str, worker_id: str,
-               crash_state: Dict[str, int],
+               welcome: dict, config: FleetConfig, cache_mode: str,
+               worker_id: str, crash_state: Dict[str, int],
                say: Callable[[str], None]) -> None:
     idle_retry_s = float(welcome.get("idle_retry_s", 1.0))
-    cohort = bool(welcome.get("cohort", False))
-    rejoin = bool(welcome.get("rejoin", True))
     profile = bool(welcome.get("profile", False))
     while True:
         batcher.direct({"type": "lease_req", "worker": worker_id})
@@ -471,9 +393,8 @@ def _work_loop(batcher: FrameBatcher, channel: Channel,
             continue
         say(f"lease {message['lease']}: model {message['model']}, "
             f"{len(message['devices'])} device(s)")
-        _run_lease(batcher, channel, message, config, config_key,
-                   cache_mode, cohort, rejoin, profile, worker_id,
-                   crash_state)
+        _run_lease(batcher, channel, message, config, cache_mode,
+                   profile, worker_id, crash_state)
 
 
 def run_worker(connect: str, worker_id: Optional[str] = None,
@@ -537,12 +458,6 @@ def run_worker(connect: str, worker_id: Optional[str] = None,
                 else str(welcome.get("cache_mode", "shared"))
             _import_stores(batcher, channel,
                            list(welcome.get("stores", [])), say)
-            _import_stores(batcher, channel,
-                           list(welcome.get("trace_stores", [])),
-                           say, prefix="tbx",
-                           have=tracetier.have_store_file,
-                           install=tracetier.import_store_file,
-                           label="trace")
             heartbeat = threading.Thread(
                 target=_heartbeat,
                 args=(channel,
@@ -552,9 +467,8 @@ def run_worker(connect: str, worker_id: Optional[str] = None,
             heartbeat.start()
             say(f"joined campaign {campaign_key} at {host}:{port} "
                 f"as {worker_id!r}")
-            _work_loop(batcher, channel, welcome, config,
-                       campaign_key, mode, worker_id, crash_state,
-                       say)
+            _work_loop(batcher, channel, welcome, config, mode,
+                       worker_id, crash_state, say)
         except _Shutdown:
             say("campaign complete — shutting down")
             return 0

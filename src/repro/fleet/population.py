@@ -141,11 +141,11 @@ def device_spec(fleet_seed: int, device_id: int,
 
     With ``homogeneous`` every device is a clone of device 0 — same
     app subset, rogue draw, environment seed, battery, and jitter
-    phases, differing only in ``device_id``.  That is the synthetic
-    worst case for per-device cost and the best case for cohort
-    lockstep (a fleet shipping one firmware build to everyone), used
-    by the cohort benchmark scenario.  It is campaign identity, not an
-    execution detail: a homogeneous fleet produces different results.
+    phases, differing only in ``device_id`` — a fleet shipping one
+    firmware build to everyone.  It is campaign identity, not an
+    execution detail: a homogeneous fleet produces different results,
+    so the flag is hashed into the campaign key and recorded in
+    ``summary.json``.
     """
     if homogeneous and device_id != 0:
         return replace(device_spec(fleet_seed, 0, rogue_fraction),

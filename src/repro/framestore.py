@@ -1,17 +1,15 @@
-"""Self-checking append-only frame stores (shared plumbing).
+"""Self-checking append-only frame stores.
 
-Two persistent cache tiers share one on-disk grammar: the ``.sbx``
-execution-cache tier (:mod:`repro.msp430.execcache`) and the ``.tbx``
-cohort trace tier (:mod:`repro.fleet.tracetier`).  Both persist
-pickled record dicts as **frames** — a 4-byte magic, a little-endian
-length, a 16-byte sha-256 payload prefix, then the payload — appended
-to store files named by a 16-hex-digit identity hash.  This module
-holds the format-agnostic machinery: frame packing and walking, the
-import-time scan, the LRU file prune, the env-knob plumbing
-(``REPRO_<FAMILY>[_DIR|_MAX_MB]``), and the incremental append-only
-reader both tiers subclass.
+The ``.sbx`` execution-cache tier (:mod:`repro.msp430.execcache`)
+persists pickled record dicts as **frames** — a 4-byte magic, a
+little-endian length, a 16-byte sha-256 payload prefix, then the
+payload — appended to store files named by a 16-hex-digit identity
+hash.  This module holds the format-agnostic machinery: frame packing
+and walking, the import-time scan, the LRU file prune, the env-knob
+plumbing (``REPRO_<FAMILY>[_DIR|_MAX_MB]``), and the incremental
+append-only reader the tier subclasses.
 
-The safety model is identical for every family:
+The safety model:
 
 * **Framing is self-checking.**  A torn tail from a killed writer, a
   corrupted length field, bit-rot in a payload — all are detected by
@@ -21,10 +19,9 @@ The safety model is identical for every family:
   any global raises before anything is called, so a hostile store
   file degrades to "fewer warm frames", never to code execution.
 * **Frame digests prove framing, not provenance.**  An attacker
-  controls magic, length, and digest of frames it writes; every
-  family therefore re-validates record *content* on ingest (shape
-  checks here, byte- or state-verification at adoption time in the
-  tier above).
+  controls magic, length, and digest of frames it writes; the tier
+  therefore re-validates record *content* on ingest (shape checks
+  here, byte-verification against live memory at adoption time).
 """
 
 from __future__ import annotations

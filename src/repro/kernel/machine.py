@@ -61,8 +61,7 @@ class AppRuntimeState:
 class AmuletMachine:
     def __init__(self, firmware: Firmware,
                  env: Optional[SensorEnvironment] = None,
-                 step_only: bool = False,
-                 shared_cache: bool = True):
+                 step_only: bool = False):
         self.firmware = firmware
         self.cpu = Cpu()
         # step_only disables superblock dispatch — every instruction
@@ -130,7 +129,7 @@ class AmuletMachine:
         # terminate at port-addressing instructions).  step_only
         # machines stay private — they are the differential tests'
         # pristine reference interpreter.
-        if shared_cache and not step_only:
+        if not step_only:
             self.cpu.attach_shared_cache(shared_execution_cache(
                 self.cpu.memory.io_addresses()))
 

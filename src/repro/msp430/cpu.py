@@ -1269,11 +1269,11 @@ class Cpu:
         loop = False
         cursor = pc
         end = pc
-        diamond = None          # (step index, rejoin pc) while open
+        diamond = None          # (step index, join pc) while open
         while len(steps) < _MAX_BLOCK_INSNS:
             if diamond is not None:
-                di, rejoin = diamond
-                if cursor == rejoin:
+                di, join_pc = diamond
+                if cursor == join_pc:
                     # forward jump's target reached on an instruction
                     # boundary: the steps since the jump are its
                     # skipped arm — rewrite the jump step into a
@@ -1283,9 +1283,9 @@ class Cpu:
                     steps[di] = (p[0], p[1], p[2], p[3], p[4],
                                  ("skip", p[5][1], len(arm),
                                   sum(s[3] for s in arm), len(arm),
-                                  rejoin), None)
+                                  join_pc), None)
                     diamond = None
-                elif cursor > rejoin:
+                elif cursor > join_pc:
                     break        # target inside an instruction: bail
             if cursor > 0xFFFE or not perm[cursor] & PERM_X:
                 break

@@ -156,10 +156,9 @@ def clear_registry() -> None:
 # code bytes it translates, and adoption byte-verifies against the
 # puller's live memory, so the disk tier adds no trust beyond what a
 # sibling process already gets.  The framing, scanning, pruning and
-# env-knob plumbing are the shared :mod:`repro.framestore` machinery
-# (the cohort trace tier uses the same grammar under a different
-# magic): a torn tail from a killed writer or a corrupted record is
-# detected, skipped, and simply re-translated.
+# env-knob plumbing are the :mod:`repro.framestore` machinery: a torn
+# tail from a killed writer or a corrupted record is detected,
+# skipped, and simply re-translated.
 
 #: bump when the record payload layout changes
 DISK_FORMAT = 2

@@ -620,31 +620,6 @@ class Memory:
         for hook in self.write_hooks:
             hook(-1, 0)
 
-    # -- whole-image helpers (checkpointing, cohort lockstep) ---------------
-    def image_bytes(self) -> bytes:
-        """An immutable copy of the full 64 KB backing image."""
-        return bytes(self._bytes)
-
-    def image_equals(self, image) -> bool:
-        """Whole-image comparison without copying (bytearray == bytes
-        compares contents)."""
-        return self._bytes == image
-
-    def delta_since(self, image) -> Dict[int, bytes]:
-        """Pages of the current contents that differ from ``image``."""
-        return page_delta(self._bytes, image)
-
-    def apply_pages(self, pages: Dict[int, bytes]) -> None:
-        """Bulk-write ``{offset: bytes}`` pages (a delta produced by
-        :func:`page_delta`), bypassing permission checks, with one
-        invalidation pass at the end — the restore half of the cohort
-        replay path."""
-        data = self._bytes
-        for offset, chunk in pages.items():
-            data[offset:offset + len(chunk)] = chunk
-        if pages:
-            self._bulk_invalidate()
-
 
 #: coarse pass granularity for :func:`page_delta`; one slice compare
 #: per chunk prunes the fine scan to chunks that actually changed
@@ -656,11 +631,10 @@ def page_delta(image, base, page: int = 256) -> Dict[int, bytes]:
     ``image`` that differs from ``base``.
 
     Hierarchical: a 4 KB slice compare (memcmp under the hood) first,
-    descending to page granularity only inside changed chunks.  On the
-    all-but-identical images the fleet sees — a dispatch dirties a few
-    stack/global pages out of 256 — this is ~8x cheaper than scanning
-    every page, which matters when the cohort recorder diffs after
-    *every* dispatch.  Output (keys, values, insertion order) is
+    descending to page granularity only inside changed chunks.  A
+    checkpoint's image differs from its firmware base in a few
+    stack/global pages out of 256, so this is ~8x cheaper than
+    scanning every page.  Output (keys, values, insertion order) is
     identical to the flat per-page scan.
     """
     delta: Dict[int, bytes] = {}

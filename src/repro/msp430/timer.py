@@ -34,12 +34,6 @@ class CycleTimer:
         self.cpu = cpu
         self.address = address
         self.divider = divider
-        #: port reads served (monotonic).  The counter value is a
-        #: function of the *absolute* cycle count, so any layer that
-        #: memoizes execution (the fleet cohort recorder) must know
-        #: whether a stretch of code observed the timer — it compares
-        #: this before/after to decide.
-        self.reads = 0
 
     def attach(self, memory=None) -> None:
         mem = memory if memory is not None else self.cpu.memory
@@ -47,7 +41,6 @@ class CycleTimer:
 
     def read_counter(self) -> int:
         """The quantized hardware view: one tick per ``divider`` cycles."""
-        self.reads += 1
         return (self.cpu.cycles // self.divider) & 0xFFFF
 
     def ticks_to_cycles(self, ticks: int) -> int:

@@ -154,6 +154,9 @@ class TestStoreTransfer:
         assert execcache.import_store_file(
             name, good + b"trailing garbage") == 1
         assert (tmp_path / name).read_bytes() == good
+        # the imported store is offerable onward, byte for byte
+        assert execcache.have_store_file(name)
+        assert execcache.read_store_file(name) == good
         # an existing store is never overwritten by an import
         assert execcache.import_store_file(name, good) == 0
 
@@ -166,6 +169,11 @@ class TestStoreTransfer:
         assert execcache.import_store_file(
             "0123456789abcdef.sbx", b"pure garbage") == 0
         assert list(tmp_path.glob("*.sbx")) == []
+        # names that escape the cache dir are never served either
+        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path / "c"))
+        (tmp_path / "escape.sbx").write_bytes(good)
+        assert execcache.read_store_file("../escape.sbx") is None
+        assert not execcache.have_store_file("../escape.sbx")
 
 
 # -- non-executing deserialization ------------------------------------------
@@ -217,6 +225,14 @@ class TestSafeLoads:
         tier = execcache.DiskTier(store)
         assert (tier.loaded, tier.corrupt) == (0, 1)
         assert not marker.exists()
+        # beside a valid record, the exploit is skipped and the valid
+        # record still loads
+        mixed = tmp_path / "fedcba9876543210.sbx"
+        mixed.write_bytes(_sbx_frame({"pc": 0x4400, "code": b"\x01"})
+                          + _sbx_frame(_Exploit(str(marker))))
+        tier = execcache.DiskTier(mixed)
+        assert (tier.loaded, tier.corrupt) == (1, 1)
+        assert not marker.exists()
 
     def test_parse_checkpoint_never_executes_a_hostile_blob(
             self, tmp_path):
@@ -242,8 +258,7 @@ class _Coordinator:
     loopback port."""
 
     def __init__(self, out, jobs=2, lease_timeout_s=10.0,
-                 profile=False, secret=None, cohort=False,
-                 rejoin=True, **overrides):
+                 profile=False, secret=None, **overrides):
         self.out = Path(out)
         self.transport = SocketTransport(
             lease_timeout_s=lease_timeout_s, heartbeat_s=0.5,
@@ -255,7 +270,6 @@ class _Coordinator:
         def _run():
             try:
                 run_campaign(config, self.out, jobs=jobs,
-                             cohort=cohort, rejoin=rejoin,
                              transport=self.transport,
                              profile_dir=profile_dir)
             except BaseException as error:   # surfaced in join()
@@ -312,7 +326,6 @@ def _subprocess_env(tmp_path):
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
     env["REPRO_EXEC_CACHE_DIR"] = str(tmp_path / "subproc-exec")
-    env["REPRO_TRACE_CACHE_DIR"] = str(tmp_path / "subproc-trace")
     return env
 
 
@@ -808,7 +821,7 @@ class TestHeartbeatJitter:
         assert len(set(waits)) > 1
 
 
-# -- batching / trace tier / status over loopback ---------------------------
+# -- batching / status over loopback ---------------------------------------
 
 class TestBatchedCampaign:
     def test_batch_knobs_do_not_change_bytes(self, tmp_path):
@@ -847,39 +860,6 @@ class TestBatchedCampaign:
         assert stats.total_calls > 0
 
 
-class TestSocketTraceTier:
-    def test_warm_tier_ships_to_workers_and_matches_bytes(
-            self, tmp_path):
-        from repro.fleet import tracetier
-        # a cold local cohort run publishes .tbx stores in this
-        # process's (test-isolated) trace dir
-        reference = tmp_path / "reference"
-        run_campaign(FleetConfig(**_CAMPAIGN), reference, jobs=1,
-                     cohort=True)
-        assert list(tracetier.trace_cache_dir().glob("*.tbx"))
-        # a subprocess worker starts with empty caches: the stores
-        # must reach it over the sha-verified blob channel
-        out = tmp_path / "sock-warm"
-        coordinator = _Coordinator(out, cohort=True, profile=True)
-        address = coordinator.address()
-        env = _subprocess_env(tmp_path)
-        worker = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "fleet", "worker",
-             "--connect", address, "--worker-id", "wt"],
-            env=env, capture_output=True, text=True, timeout=120)
-        coordinator.join()
-        assert worker.returncode == 0, worker.stderr
-        assert "imported trace store" in worker.stdout
-        assert list(Path(env["REPRO_TRACE_CACHE_DIR"]).glob("*.tbx"))
-        assert (out / "summary.json").read_bytes() == \
-            (reference / "summary.json").read_bytes()
-        assert (out / "devices-mpu.jsonl").read_bytes() == \
-            (reference / "devices-mpu.jsonl").read_bytes()
-        profile = json.loads(
-            (out / "profiles" / "coordinator.json").read_text())
-        assert profile["models"]["mpu"]["trace_hits"] > 0
-
-
 class TestFleetStatus:
     def _cli_status(self, target, tmp_path):
         return subprocess.run(
@@ -890,7 +870,7 @@ class TestFleetStatus:
 
     def test_live_then_file_mode(self, tmp_path):
         out = tmp_path / "status"
-        coordinator = _Coordinator(out, cohort=True)
+        coordinator = _Coordinator(out)
         address = coordinator.address()
         # live: no worker yet, the port answers a status observer
         live = self._cli_status(address, tmp_path)
@@ -908,7 +888,6 @@ class TestFleetStatus:
         assert status["model"] is None
         assert status["workers"]["w0"]["devices_done"] == \
             _CAMPAIGN["devices"]
-        assert status["cohort"]["cohort_executed"] > 0
         done = self._cli_status(out, tmp_path)
         assert done.returncode == 0, done.stderr
         assert "worker w0" in done.stdout

@@ -6,11 +6,13 @@ processes ran it, or of how many times it was killed and resumed.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ReproError
 from repro.fleet.executor import FleetConfig, run_campaign
+from repro.fleet.population import device_spec
 from repro.fleet.telemetry import _percentiles
 
 #: small but non-trivial: ~11 simulated seconds per device, several
@@ -48,6 +50,25 @@ class TestShardInvariance:
         out, first = _run(tmp_path, "anyjobs", 2)
         summary = run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=1)
         assert summary == first
+
+    def test_homogeneous_clones_device_zero_and_is_identity(self):
+        config = FleetConfig(**{**_CAMPAIGN, "devices": 8,
+                                "homogeneous": True})
+        zero = device_spec(config.seed, 0, config.rogue_fraction,
+                           homogeneous=True)
+        for device_id in range(1, config.devices):
+            assert device_spec(config.seed, device_id,
+                               config.rogue_fraction,
+                               homogeneous=True) == \
+                replace(zero, device_id=device_id)
+        # not vacuous: the same seed's jittered fleet differs
+        assert any(device_spec(config.seed, device_id,
+                               config.rogue_fraction)
+                   != replace(zero, device_id=device_id)
+                   for device_id in range(1, config.devices))
+        # campaign identity: the flag changes the key
+        jittered = FleetConfig(**{**_CAMPAIGN, "devices": 8})
+        assert config.key() != jittered.key()
 
 
 class TestCrashResume:
