@@ -9,22 +9,12 @@ in the short run: it is a smoke-scale number, not a representative
 campaign (``perfbench/`` is the representative benchmark).
 
 Every recorded row is self-describing: the label carries the worker
-count, the execution-cache state, and the host CPU count, because all
-three change what the number means (``jobs=4`` on a 1-core container
-measures scheduling overhead, not parallelism; a warm disk cache
-skips the translation the cold number includes).
-
-Cache states:
-
-* ``default`` — whatever the environment provides (CI floor checks
-  use this: it is what a user sees).
-* ``cold``    — a fresh, empty on-disk execution cache per campaign
-  and a cleared in-memory registry: the full translate-everything
-  cost.
-* ``warm``    — an unmeasured campaign first populates the disk
-  cache, then the measured campaign starts from a cleared in-memory
-  registry and revives translations from disk: the fresh-process
-  steady state a resumed or repeated study enjoys.
+count, the fleet size, the transport and the host CPU count, because
+each changes what the number means (``jobs=4`` on a 1-core container
+measures scheduling overhead, not parallelism).  Older rows in
+``BENCH_fleet.json`` also carry a ``cache=`` state from when
+translations could persist on disk between processes; that tier is
+gone, so new rows no longer record one.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_fleet.py``)
 to append a record to ``BENCH_fleet.json`` at the repo root, or via
@@ -49,8 +39,6 @@ BENCH_JSON = REPO_ROOT / "BENCH_fleet.json"
 DEVICES = 8
 SIM_HOURS = 0.01            # 36 simulated seconds per device
 MODEL = "mpu"
-
-CACHE_STATES = ("default", "cold", "warm")
 
 
 def _one_campaign(config, jobs: int,
@@ -118,44 +106,18 @@ def _one_socket_campaign(config, jobs: int, out: Path) -> float:
 
 def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
                    jobs: int = 1, seed: int = 0,
-                   cache: str = "default",
                    transport: str = "local") -> float:
-    """Device-sim-hours per wall second for one full campaign; the
-    warm-up campaign of ``cache="warm"`` runs with the same knobs as
-    the measured one."""
+    """Device-sim-hours per wall second for one full campaign."""
     from repro.fleet.executor import FleetConfig
-    from repro.msp430.execcache import clear_registry
 
     config = FleetConfig(devices=devices, hours=hours,
                          models=(MODEL,), seed=seed,
                          rogue_fraction=0.25)
-
-    def _measured() -> float:
-        return devices * hours / _one_campaign(config, jobs, transport)
-
-    if cache == "default":
-        return _measured()
-
-    saved = os.environ.get("REPRO_EXEC_CACHE_DIR")
-    cache_dir = tempfile.mkdtemp(prefix="bench_exec_")
-    os.environ["REPRO_EXEC_CACHE_DIR"] = cache_dir
-    clear_registry()
-    try:
-        if cache == "warm":
-            _one_campaign(config, jobs, transport)    # populate disk
-            clear_registry()              # warmth must come from disk
-        return _measured()
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_EXEC_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_EXEC_CACHE_DIR"] = saved
-        clear_registry()
-        shutil.rmtree(cache_dir, ignore_errors=True)
+    return devices * hours / _one_campaign(config, jobs, transport)
 
 
 def run_benchmarks(repeats: int = 3, jobs: int = 1,
-                   cache: str = "default", devices: int = DEVICES,
+                   devices: int = DEVICES,
                    transport: str = "local") -> dict:
     # Best-of-N: interference only ever lowers a rate, so the max over
     # repeats is the least-noisy estimate (same rule as BENCH_sim).
@@ -164,33 +126,30 @@ def run_benchmarks(repeats: int = 3, jobs: int = 1,
     return {
         "device_sim_hours_per_sec": round(max(
             bench_campaign(devices=devices, jobs=jobs, seed=n,
-                           cache=cache, transport=transport)
+                           transport=transport)
             for n in range(repeats)), 4),
         "devices": devices,
         "sim_hours_per_device": SIM_HOURS,
         "model": MODEL,
         "jobs": jobs,
-        "cache": cache,
         "transport": transport,
         "host_cpus": os.cpu_count(),
     }
 
 
 def record(label: str, repeats: int = 3, jobs: int = 1,
-           cache: str = "default", devices: int = DEVICES,
+           devices: int = DEVICES,
            transport: str = "local") -> dict:
     """Append one measurement record to BENCH_fleet.json.  The stored
     label is annotated with everything that disambiguates the row —
-    two rows are only comparable when jobs, cache state, fleet size,
-    transport, and host CPU count all match."""
+    two rows are only comparable when jobs, fleet size, transport,
+    and host CPU count all match."""
     entry = {
-        "label": f"{label} [jobs={jobs} cache={cache} "
-                 f"devices={devices} transport={transport} "
-                 f"cpus={os.cpu_count()}]",
+        "label": f"{label} [jobs={jobs} devices={devices} "
+                 f"transport={transport} cpus={os.cpu_count()}]",
         "date": time.strftime("%Y-%m-%d %H:%M:%S"),
         "repeats": repeats,
-        "results": run_benchmarks(repeats, jobs, cache, devices,
-                                  transport),
+        "results": run_benchmarks(repeats, jobs, devices, transport),
     }
     history = []
     if BENCH_JSON.exists():
@@ -221,8 +180,8 @@ def main() -> int:
         description="fleet campaign throughput microbenchmark")
     parser.add_argument("--label", default="run",
                         help="label stored with the record (jobs, "
-                             "cache state, and CPU count are appended "
-                             "automatically)")
+                             "fleet size, transport and CPU count are "
+                             "appended automatically)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="campaigns run; best is kept")
     parser.add_argument("--jobs", type=_parse_jobs, default=[1],
@@ -230,10 +189,6 @@ def main() -> int:
                         help="worker-process counts; a comma list "
                              "(e.g. 1,2,4) records one scaling row "
                              "per value")
-    parser.add_argument("--cache", default="default",
-                        choices=CACHE_STATES,
-                        help="execution-cache state the campaign "
-                             "starts from (see module docstring)")
     parser.add_argument("--devices", type=int, default=DEVICES,
                         metavar="N", help="fleet size")
     parser.add_argument(
@@ -248,8 +203,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.check_floor is not None:
         results = run_benchmarks(args.repeats, args.jobs[0],
-                                 args.cache, args.devices,
-                                 args.transport)
+                                 args.devices, args.transport)
         rate = results["device_sim_hours_per_sec"]
         ok = rate >= args.check_floor
         print(f"fleet throughput {rate} device-sim-hours/s "
@@ -257,7 +211,7 @@ def main() -> int:
               + ("PASS" if ok else "FAIL"))
         return 0 if ok else 1
     for jobs in args.jobs:
-        entry = record(args.label, args.repeats, jobs, args.cache,
+        entry = record(args.label, args.repeats, jobs,
                        args.devices, args.transport)
         print(json.dumps(entry, indent=2))
     return 0

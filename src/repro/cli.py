@@ -255,40 +255,19 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
     target = args.target
     if ":" in target and not Path(target).exists():
         import socket as socketlib
-        from repro.fleet.net.protocol import Channel, PROTO_VERSION, \
-            auth_mac
-        from repro.fleet.net.worker import parse_endpoint
-        from repro.fleet.snapshot import STATE_VERSION
-        from repro.msp430.execcache import DISK_FORMAT
+        from repro.fleet.net.protocol import Channel
+        from repro.fleet.net.worker import _handshake, _Reject, \
+            parse_endpoint
         host, port = parse_endpoint(target)
         secret = _fleet_secret(args.secret_file)
         channel = Channel(
             socketlib.create_connection((host, port), timeout=10))
         try:
-            channel.send({"type": "hello", "proto": PROTO_VERSION,
-                          "state_version": STATE_VERSION,
-                          "disk_format": DISK_FORMAT,
-                          "campaign": None, "role": "status",
-                          "worker": "status-observer",
-                          "host": socketlib.gethostname()})
-            message, _blob = channel.recv(timeout=10.0)
-            if message["type"] == "challenge":
-                if secret is None:
-                    raise ReproError(
-                        "coordinator requires a shared secret — pass "
-                        "--secret-file or set REPRO_FLEET_SECRET")
-                channel.send({"type": "auth", "mac": auth_mac(
-                    secret, str(message.get("nonce", "")))})
-                message, _blob = channel.recv(timeout=10.0)
-            if message["type"] == "reject":
-                raise ReproError(
-                    f"status request rejected: "
-                    f"{message.get('reason', 'rejected')}")
-            if message["type"] != "status":
-                raise ReproError(
-                    f"expected a status reply, got "
-                    f"{message['type']!r}")
-            status = message
+            status = _handshake(channel, None, "status-observer",
+                                secret, role="status")
+        except _Reject as reject:
+            raise ReproError(
+                f"status request rejected: {reject}") from None
         finally:
             channel.close()
     else:
@@ -553,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
              "this long")
     fleet_worker.add_argument(
         "--compress", default="on", choices=("on", "off"),
-        help="zlib-deflate blob transfers (checkpoints, cache "
-             "stores) on the wire; transparent and verified on "
+        help="zlib-deflate blob transfers (checkpoints, profile "
+             "dumps) on the wire; transparent and verified on "
              "receipt — results are identical on or off")
     fleet_worker.add_argument(
         "--crash-after-ckpts", type=int, default=0, metavar="C",

@@ -6,8 +6,8 @@ nothing about it cares *where* a work unit runs.  This package adds
 the missing transport: the coordinator listens on a TCP socket and
 speaks a length-prefixed JSONL protocol, and any number of
 ``repro fleet worker --connect host:port`` processes (on this host or
-any other) lease work units, fetch per-device checkpoints and warm
-translation-cache frames over a content-addressed blob channel, run
+any other) lease work units, fetch per-device checkpoints over a
+content-addressed blob channel, run
 them through the same :func:`~repro.fleet.executor.run_devices` loop
 a local worker uses, and stream results back.
 
@@ -19,11 +19,13 @@ Robustness is the design center, not an afterthought:
   and every record is a pure function of ``(seed, device_id, model)``;
 * workers reconnect with exponential backoff plus jitter, and a
   reconnecting worker re-handshakes (campaign key, ``STATE_VERSION``,
-  ``DISK_FORMAT``, protocol version) so a stale worker can never feed
-  results into the wrong campaign;
-* every blob (checkpoint, ``.sbx`` translation store) is requested by
-  content hash and verified on receipt — fail-closed, exactly like
-  the execution cache's disk-tier ingestion;
+  protocol version) so a stale worker can never feed results into the
+  wrong campaign;
+* with a shared secret the handshake is mutual: each side proves it
+  holds the secret over the other's fresh nonce;
+* every checkpoint blob is requested by content hash and verified on
+  receipt — fail-closed — and nothing received is ever executed: a
+  checkpoint is simulated state, never code;
 * all persistent state stays on the coordinator's disk in the exact
   same files the local path writes, so a campaign run over sockets is
   byte-identical to a local one and kill-and-resume semantics carry

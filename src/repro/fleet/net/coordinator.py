@@ -33,13 +33,14 @@ checkpoint frames are deserialized with the restricted
 :func:`~repro.safeload.safe_loads` (inside
 :func:`~repro.fleet.snapshot.parse_checkpoint`, which also checks the
 campaign key + device stamp) before touching disk, blob names are
-validated against the model registry before becoming paths, and blobs
-served to workers (checkpoint payloads, ``.sbx`` translation stores)
-go out content-addressed so the other end can verify them.  On top of
-that, a shared ``secret`` turns the handshake into HMAC
-challenge/response — required for any non-loopback bind, because
-checkpoint *content* and ``dev_done`` records still shape campaign
-output and must come from trusted workers.
+validated against the model registry before becoming paths, and the
+checkpoint blobs served to workers go out content-addressed so the
+other end can verify them.  On top of that, a shared ``secret`` turns
+the handshake into a mutual HMAC challenge/response — required for
+any non-loopback bind, because checkpoint *content* and ``dev_done``
+records still shape campaign output and must come from trusted
+workers, and a worker holding the secret accepts work only from a
+coordinator that proves it holds the secret too.
 """
 
 from __future__ import annotations
@@ -59,11 +60,9 @@ from repro.errors import ReproError
 from repro.fleet.executor import _atomic_write, _ckpt_path, \
     _shards_dir, _unit_stream_path, _unlink_quiet
 from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
-    auth_mac, blob_sha, unpack_batch
+    auth_mac, blob_sha, coordinator_proof, unpack_batch
 from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
 from repro.fleet.telemetry import MODELS_BY_KEY, record_line
-from repro.msp430.execcache import DISK_FORMAT, list_store_files, \
-    read_store_file
 
 #: a cProfile dump for one unit is tens of KB; anything bigger is not
 #: a profile
@@ -171,17 +170,12 @@ class SocketTransport:
         self._workers: Dict[str, dict] = {}
         self._requeues = 0
         self._shutdown = False
-        #: hashed once per campaign at open, not once per handshake —
-        #: re-offering a 40+ MB exec cache to every reconnect was a
-        #: measurable per-worker startup tax
-        self._store_offers: List[dict] = []
         self._status_path: Optional[Path] = None
         self._status_at = 0.0
 
     # -- executor-facing transport API -----------------------------------
     def open_campaign(self, campaign: dict) -> None:
         self._campaign = campaign
-        self._store_offers = list_store_files()
         self._listener = socket.create_server((self.host, self.port))
         self.address = self._listener.getsockname()[:2]
         out_dir = Path(campaign["out_dir"])
@@ -385,15 +379,14 @@ class SocketTransport:
         if hello.get("type") != "hello":
             raise WireError(
                 f"expected hello, got {hello.get('type')!r}")
-        versions = (hello.get("proto"), hello.get("state_version"),
-                    hello.get("disk_format"))
-        if versions != (PROTO_VERSION, STATE_VERSION, DISK_FORMAT):
+        versions = (hello.get("proto"), hello.get("state_version"))
+        if versions != (PROTO_VERSION, STATE_VERSION):
             channel.send({
                 "type": "reject", "kind": "version",
                 "reason": (
-                    f"version mismatch: worker (proto, state, disk) "
+                    f"version mismatch: worker (proto, state) "
                     f"= {versions}, coordinator = "
-                    f"{(PROTO_VERSION, STATE_VERSION, DISK_FORMAT)}")})
+                    f"{(PROTO_VERSION, STATE_VERSION)}")})
             return None
         config_key = self._campaign["config_key"]
         if hello.get("campaign") not in (None, config_key):
@@ -406,7 +399,9 @@ class SocketTransport:
             return None
         if self.secret is not None:
             nonce = os.urandom(32).hex()
-            channel.send({"type": "challenge", "nonce": nonce})
+            channel.send({"type": "challenge", "nonce": nonce,
+                          "proof": coordinator_proof(
+                              self.secret, str(hello.get("nonce", "")))})
             reply, _ = channel.recv(timeout=10.0)
             if reply.get("type") != "auth" or not hmac.compare_digest(
                     str(reply.get("mac", "")),
@@ -433,7 +428,6 @@ class SocketTransport:
             "heartbeat_s": self.heartbeat_s,
             "idle_retry_s": self.idle_retry_s,
             "lease_timeout_s": self.lease_timeout_s,
-            "stores": self._store_offers,
         })
         with self._lock:
             row = self._workers.get(worker_id)
@@ -593,8 +587,6 @@ class SocketTransport:
                     data = path.read_bytes()
             except (ValueError, OSError):
                 data = None
-        elif name.startswith("sbx:"):
-            data = read_store_file(name[len("sbx:"):])
         if data is None or blob_sha(data) != want_sha:
             channel.send({"type": "blob_missing", "name": name})
             return

@@ -4,8 +4,8 @@ Every message on a coordinator/worker connection is one **frame**: a
 4-byte big-endian length followed by exactly that many bytes of
 canonical JSON (sorted keys, no whitespace — one JSON line).  A frame
 whose message carries ``blob_len`` is immediately followed by that
-many raw bytes (checkpoint payloads, ``.sbx`` translation frames —
-things JSON would bloat by a third in base64), and the message's
+many raw bytes (checkpoint payloads, profile dumps — things JSON
+would bloat by a third in base64), and the message's
 ``blob_sha`` must be the blob's sha-256: the receiver verifies it and
 rejects the frame on mismatch, so the blob channel is
 content-addressed and fail-closed end to end.
@@ -22,13 +22,16 @@ Message vocabulary (the ``type`` field):
 ========  ==========  ===================================================
 type      direction   meaning
 ========  ==========  ===================================================
-hello     w -> c      handshake: proto + STATE_VERSION + DISK_FORMAT +
-                      campaign key (None on first contact) + worker id
-challenge c -> w      a secret is configured: prove you hold it —
-                      reply with ``auth`` over the fresh nonce
+hello     w -> c      handshake: proto + STATE_VERSION + campaign key
+                      (None on first contact) + worker id + role +
+                      the worker's fresh nonce
+challenge c -> w      a secret is configured: ``proof`` answers the
+                      worker's nonce (:func:`coordinator_proof`), and
+                      the worker must reply with ``auth`` over the
+                      coordinator's fresh ``nonce``
 auth      w -> c      HMAC-SHA256(secret, nonce) for the challenge
 welcome   c -> w      handshake accepted: campaign key, config, cache
-                      mode, heartbeat cadence, store offers
+                      mode, heartbeat cadence
 reject    c -> w      handshake refused (stale campaign key, version
                       mismatch, failed auth) — the reason says which
 lease_req w -> c      give me work
@@ -84,14 +87,14 @@ from repro.errors import ReproError
 
 #: bump on any incompatible message/framing change; exchanged (and
 #: required equal) in the hello/welcome handshake
-PROTO_VERSION = 3
+PROTO_VERSION = 4
 
 #: JSON payloads are small (records, leases); anything bigger than
 #: this is a corrupt length field or garbage on the port
 MAX_FRAME = 4 * 1024 * 1024
 
-#: blobs carry checkpoints (a few KB) and whole ``.sbx`` stores
-#: (bounded by the exec-cache LRU budget, default 64 MB)
+#: blobs carry checkpoints (a few KB) and cProfile dumps; the bound
+#: only keeps a corrupt length field from allocating without limit
 MAX_BLOB = 256 * 1024 * 1024
 
 #: blobs smaller than this are not worth a deflate round-trip
@@ -116,6 +119,16 @@ def auth_mac(secret: bytes, nonce: str) -> str:
     per-connection nonce under the shared secret.  A fresh nonce per
     connection means a recorded handshake replays to nothing."""
     return hmac.new(secret, nonce.encode(), hashlib.sha256).hexdigest()
+
+
+def coordinator_proof(secret: bytes, worker_nonce: str) -> str:
+    """The ``challenge`` frame's proof that the coordinator holds the
+    secret too: the MAC of the worker's hello nonce, under a label
+    that no :func:`auth_mac` input carries.  Without the label the
+    coordinator would be a MAC oracle — a keyless client could open a
+    second connection whose hello nonce is the first connection's
+    challenge nonce and replay the proof as its ``auth``."""
+    return auth_mac(secret, "coordinator:" + worker_nonce)
 
 
 class Channel:

@@ -1,11 +1,11 @@
 """The remote fleet worker: ``repro fleet worker --connect host:port``.
 
 A worker is a loop around one connection: handshake (protocol,
-``STATE_VERSION``, ``DISK_FORMAT``, campaign key, and — when the
-coordinator is configured with a shared secret — an HMAC
-challenge/response proving this worker holds it too), import any warm
-``.sbx`` translation stores the coordinator offers, then lease units
-until the coordinator says shutdown.  Each lease runs through
+``STATE_VERSION``, campaign key, and — with a shared secret — a
+mutual HMAC challenge/response: the coordinator proves it holds the
+secret over the worker's nonce before the worker proves it over the
+coordinator's), then lease units until the coordinator says
+shutdown.  Each lease runs through
 :func:`~repro.fleet.executor.run_devices`, the device loop a local
 pool worker uses too — the only difference is where the bytes come
 from and go:
@@ -30,7 +30,7 @@ flushes the buffer first, so the coordinator always observes frames
 in the order the worker produced them.  ``--batch-bytes 0`` disables
 coalescing entirely (byte-for-byte the PR 9 wire behavior), and
 ``--compress off`` disables the zlib blob framing that otherwise
-shrinks checkpoint and store transfers.
+shrinks checkpoint transfers.
 
 A heartbeat thread pings on the coordinator's advertised cadence
 (±10% jitter, so a fleet of same-config workers doesn't phase-lock
@@ -44,6 +44,7 @@ fatal — no amount of retrying fixes a version skew.
 
 from __future__ import annotations
 
+import hmac
 import os
 import random
 import socket
@@ -56,10 +57,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import ReproError
 from repro.fleet.executor import FleetConfig, run_devices
 from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
-    auth_mac, blob_sha, pack_batch
+    auth_mac, blob_sha, coordinator_proof, pack_batch
 from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
-from repro.msp430.execcache import DISK_FORMAT, have_store_file, \
-    import_store_file
 
 #: per-frame reply deadline: the coordinator answers lease/blob
 #: requests immediately, so a silent minute means the link is gone
@@ -77,7 +76,7 @@ class _Shutdown(Exception):
 
 class _Reject(Exception):
     """Handshake refused; ``kind`` is ``"campaign"`` (recoverable by
-    re-handshaking keyless) or ``"version"`` (fatal)."""
+    re-handshaking keyless), ``"version"`` or ``"auth"`` (fatal)."""
 
     def __init__(self, kind: str, reason: str):
         super().__init__(reason)
@@ -250,27 +249,6 @@ def _heartbeat(channel: Channel, interval: float,
             return                      # main loop handles the drop
 
 
-def _import_stores(batcher: FrameBatcher, channel: Channel,
-                   offers: List[dict],
-                   say: Callable[[str], None]) -> None:
-    """Warm this host's translation cache from the coordinator's
-    ``.sbx`` store offers; every store is fetched by content hash and
-    re-validated frame-by-frame on import."""
-    for offer in offers:
-        name = str(offer.get("name", ""))
-        sha = offer.get("sha")
-        if not name or not isinstance(sha, str) or \
-                have_store_file(name):
-            continue
-        blob = _fetch_blob(batcher, channel, f"sbx:{name}", sha)
-        if blob is None:
-            continue
-        records = import_store_file(name, blob)
-        if records:
-            say(f"imported translation store {name} "
-                f"({records} records)")
-
-
 def _run_lease(batcher: FrameBatcher, channel: Channel, lease: dict,
                config: FleetConfig, cache_mode: str, profile: bool,
                worker_id: str, crash_state: Dict[str, int]) -> None:
@@ -351,13 +329,21 @@ def _simulate_lease(batcher: FrameBatcher, channel: Channel,
 
 
 def _handshake(channel: Channel, campaign_key: Optional[str],
-               worker_id: str,
-               secret: Optional[bytes] = None) -> dict:
+               worker_id: str, secret: Optional[bytes] = None,
+               role: str = "worker") -> dict:
+    """Run the hello exchange and return the coordinator's answer: a
+    ``welcome``, or for ``role="status"`` a ``status`` report.
+
+    Holding a ``secret`` makes authentication mutual: the coordinator
+    must answer with a ``challenge`` whose proof checks against this
+    connection's fresh nonce, and only then does this side send its
+    own ``auth``.  A coordinator that skips the challenge or proves
+    nothing gets nothing further — :class:`_Reject` (``"auth"``)."""
+    nonce = os.urandom(32).hex()
     channel.send({"type": "hello", "proto": PROTO_VERSION,
                   "state_version": STATE_VERSION,
-                  "disk_format": DISK_FORMAT,
-                  "campaign": campaign_key,
-                  "worker": worker_id,
+                  "campaign": campaign_key, "role": role,
+                  "worker": worker_id, "nonce": nonce,
                   "host": socket.gethostname()})
     message, _ = channel.recv(timeout=REPLY_TIMEOUT_S)
     if message["type"] == "challenge":
@@ -365,16 +351,26 @@ def _handshake(channel: Channel, campaign_key: Optional[str],
             raise _Reject(
                 "auth", "coordinator requires a shared secret — "
                 "pass --secret-file or set REPRO_FLEET_SECRET")
+        if not hmac.compare_digest(str(message.get("proof", "")),
+                                   coordinator_proof(secret, nonce)):
+            raise _Reject(
+                "auth", "coordinator failed to prove the shared "
+                "secret — refusing it")
         channel.send({"type": "auth",
                       "mac": auth_mac(secret,
                                       str(message.get("nonce", "")))})
         message, _ = channel.recv(timeout=REPLY_TIMEOUT_S)
+    elif secret is not None and message["type"] != "reject":
+        raise _Reject(
+            "auth", "coordinator skipped the shared-secret challenge "
+            "— refusing an unauthenticated coordinator")
     if message["type"] == "reject":
         raise _Reject(str(message.get("kind", "version")),
                       str(message.get("reason", "rejected")))
-    if message["type"] != "welcome":
+    want = "status" if role == "status" else "welcome"
+    if message["type"] != want:
         raise WireError(
-            f"expected welcome, got {message['type']!r}")
+            f"expected {want}, got {message['type']!r}")
     return message
 
 
@@ -456,8 +452,6 @@ def run_worker(connect: str, worker_id: Optional[str] = None,
                 return 2
             mode = cache_mode if cache_mode is not None \
                 else str(welcome.get("cache_mode", "shared"))
-            _import_stores(batcher, channel,
-                           list(welcome.get("stores", [])), say)
             heartbeat = threading.Thread(
                 target=_heartbeat,
                 args=(channel,

@@ -73,8 +73,6 @@ bitmap, one pass over the block's byte range.
 from __future__ import annotations
 
 import enum
-import marshal
-import types
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import (
@@ -92,7 +90,7 @@ from repro.msp430.isa import (
     Operand,
 )
 from repro.msp430.execcache import MAX_VARIANTS
-from repro.msp430.intrinsics import intrinsic_for, is_intrinsic
+from repro.msp430.intrinsics import intrinsic_for
 from repro.msp430.memory import EXECUTE, FAST_SHIFT, Memory, PERM_X, \
     READ, WRITE
 from repro.msp430.registers import Reg, RegisterFile, SR
@@ -509,89 +507,6 @@ def _interp_block(c, blk: _Block, r, m) -> None:
                     or c.trace_hook is not None or m._observers):
                 return
         i += 1
-
-
-# -- persistent block records (the execcache disk tier's payload) ----------
-#
-# A compiled block is mostly *derived* state: the thunks re-specialize
-# deterministically from the code bytes, and the codegen'd function is
-# a closure-free code object.  So a disk record carries only the code
-# bytes, the per-step metadata (everything in a step tuple except the
-# thunk), and the marshaled generated code — revival re-decodes the
-# thunks from the recorded bytes and rebinds them as the function's
-# globals.  A runtime-helper intrinsic is never marshaled: its record
-# carries no code object, and revival selects the intrinsic again from
-# the verified code bytes.  Revival is fail-closed: any inconsistency
-# (decode error, cycle-count mismatch, marshal rot) rejects the record
-# and the block is simply re-translated, exactly as a cache miss would
-# be.
-
-def _block_record(blk: _Block) -> Optional[dict]:
-    """Serialize a hot block for the execcache disk tier."""
-    if blk.fn is None or blk.code is None:
-        return None
-    if is_intrinsic(blk.fn):
-        fn_code = None
-    else:
-        try:
-            fn_code = marshal.dumps(blk.fn.__code__)
-        except ValueError:
-            return None
-    return {
-        "pc": blk.start,
-        "end": blk.end,
-        "end_pc": blk.end_pc,
-        "pure": blk.pure,
-        "loop": blk.loop,
-        "code": blk.code,
-        "steps": [(s[0], s[1], s[3], s[4], s[5], s[6])
-                  for s in blk.steps],
-        "fn": fn_code,
-    }
-
-
-def _block_from_record(record: dict) -> Optional[_Block]:
-    """Revive a disk record into a live block, or None if the record
-    is inconsistent in any way (corrupt, stale semantics, unthunkable
-    shape) — the caller then translates from scratch."""
-    try:
-        code = record["code"]
-        start = record["pc"]
-        end = record["end"]
-        if len(code) != end - start or not record["steps"]:
-            return None
-
-        def fetch(addr: int, _c=code, _b=start) -> int:
-            i = addr - _b
-            if i < 0:
-                raise IndexError(addr)
-            return _c[i] | (_c[i + 1] << 8)
-
-        steps = []
-        for pc, next_pc, cyc_i, may_store, info, inline \
-                in record["steps"]:
-            insn, size = decode(fetch, pc)
-            if cyc.instruction_cycles(insn) != cyc_i:
-                return None
-            thunk = _specialize(insn)
-            if thunk is None:
-                return None
-            steps.append((pc, next_pc, thunk, cyc_i, may_store,
-                          info, inline))
-        if steps[-1][1] != record["end_pc"]:
-            return None
-        blk = _Block(start, end, record["end_pc"], tuple(steps),
-                     record["pure"], record["loop"])
-        blk.code = bytes(code)
-        fn = intrinsic_for(blk)
-        if fn is None:
-            ns = {f"_t{i}": s[2] for i, s in enumerate(steps)}
-            fn = types.FunctionType(marshal.loads(record["fn"]), ns,
-                                    "_fn")
-        blk.fn = fn
-        return blk
-    except Exception:
-        return None
 
 
 class Cpu:
@@ -1058,17 +973,6 @@ class Cpu:
                                           or _codegen(blk))
                                 if proto is not None:
                                     proto.fn = blk.fn
-                                shared = self._shared
-                                if shared is not None \
-                                        and shared.disk is not None:
-                                    # block proved hot enough to pay
-                                    # compile(): persist it so future
-                                    # processes start with it revived
-                                    record = _block_record(
-                                        proto if proto is not None
-                                        else blk)
-                                    if record is not None:
-                                        shared.disk.publish(record)
                         if blk.loop:
                             iters = ((cycle_limit - self.cycles)
                                      // blk.cycles)
@@ -1191,32 +1095,6 @@ class Cpu:
             else:
                 shared.rejects += 1
 
-    def _revive_disk_variants(self, shared, pc: int):
-        """Bring any persisted block variants for ``pc`` into the
-        in-memory store (reviving thunks and generated code from the
-        records), so the normal byte-verified adoption scan can use
-        them.  Returns the variant list, or None when the disk tier
-        has nothing for this pc either."""
-        disk = shared.disk
-        records = disk.take(pc)
-        if records is None:
-            # maybe a sibling worker published since our last read:
-            # one cheap stat, and an incremental read only if the
-            # store file actually grew
-            if not disk.refresh():
-                return None
-            records = disk.take(pc)
-            if records is None:
-                return None
-        variants = shared.blocks.setdefault(pc, [])
-        for record in records:
-            if len(variants) >= MAX_VARIANTS:
-                break
-            blk = _block_from_record(record)
-            if blk is not None:
-                variants.append(blk)
-        return variants
-
     # -- superblock compilation and execution -------------------------------
     def _compile_block(self, pc: int) -> Optional[_Block]:
         """Chain decoded thunks from ``pc`` into a superblock, or mark
@@ -1239,12 +1117,6 @@ class Cpu:
             # the permission edge).  The adopted object is a shallow
             # per-device copy: see _Block.adopt.
             variants = shared.blocks.get(pc)
-            if not variants and shared.disk is not None:
-                # nothing in memory yet: revive any persisted variants
-                # for this pc (earlier processes' publishes) into the
-                # in-memory store, then adopt through the normal
-                # byte-verified path below
-                variants = self._revive_disk_variants(shared, pc)
             if variants:
                 mem = memory._bytes
                 for sb in variants:

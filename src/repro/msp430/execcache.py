@@ -46,26 +46,24 @@ different MPU configurations).
 Correctness rests on the superblock layer's architectural-equivalence
 invariant (blocks vs. ``step()`` are bit-identical): sharing only
 changes *which* PCs have blocks *when*, so shared-cache runs are
-byte-identical to private-cache and step-only runs.
+byte-identical to step-only runs.
+
+Translation has two tiers, both in memory: each CPU's private view
+and this process-wide store.  Neither is ever written to disk or
+received from a peer, so every block a CPU runs was generated in this
+process from code bytes it verified — bytes from outside the process
+are simulated, never executed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
-
-from repro.framestore import AppendStore, FrameFormat, HEADER, \
-    StoreLayout, scan_store
+from typing import Dict
 
 #: variants kept per PC before publishing stops.  A device rewriting
 #: its own code (rogue wild-pointer stores) would otherwise grow an
 #: unbounded variant list at the rewritten PCs; past the cap it just
-#: translates privately.  The same cap bounds the *disk* tier: a
-#: self-modifying rogue can append at most MAX_VARIANTS variants of
-#: its rewritten PCs per store file, and byte-verification keeps any
-#: of them from ever being adopted by a clean device.
+#: translates privately.
 MAX_VARIANTS = 4
 
 
@@ -81,17 +79,12 @@ class SharedExecutionCache:
     in one process need no locking.
     """
 
-    __slots__ = ("blocks", "pages", "disk",
+    __slots__ = ("blocks", "pages",
                  "block_pulls", "page_pulls", "publishes", "rejects")
 
     def __init__(self):
         self.blocks: Dict[int, list] = {}
         self.pages: Dict[int, Dict[int, list]] = {}
-        #: optional :class:`DiskTier` persisting hot compiled blocks
-        #: across processes and runs (attached by
-        #: :func:`shared_execution_cache`; plain stores built directly
-        #: by tests stay memory-only)
-        self.disk: Optional["DiskTier"] = None
         # introspection counters (tests, --profile diagnostics)
         self.block_pulls = 0
         self.page_pulls = 0
@@ -99,13 +92,10 @@ class SharedExecutionCache:
         self.rejects = 0
 
     def stats(self) -> dict:
-        stats = {"blocks": len(self.blocks), "pages": len(self.pages),
-                 "block_pulls": self.block_pulls,
-                 "page_pulls": self.page_pulls,
-                 "publishes": self.publishes, "rejects": self.rejects}
-        if self.disk is not None:
-            stats["disk"] = self.disk.stats()
-        return stats
+        return {"blocks": len(self.blocks), "pages": len(self.pages),
+                "block_pulls": self.block_pulls,
+                "page_pulls": self.page_pulls,
+                "publishes": self.publishes, "rejects": self.rejects}
 
 
 #: sorted I/O port tuple -> store.  The port set is the store
@@ -122,222 +112,14 @@ def image_digest(image: bytes) -> str:
 
 
 def shared_execution_cache(io_ports) -> SharedExecutionCache:
-    """The process-wide store for this I/O port wiring — with the
-    persistent disk tier attached when caching is enabled, so a fresh
-    process (a newly spawned fleet worker, a rerun of yesterday's
-    campaign) starts from the translations every earlier process
-    published instead of re-translating the firmware from scratch."""
+    """The process-wide store for this I/O port wiring."""
     key = tuple(sorted(io_ports))
     store = _REGISTRY.get(key)
     if store is None:
-        store = SharedExecutionCache()
-        if _disk_enabled():
-            try:
-                store.disk = DiskTier(_store_path(key))
-            except OSError:
-                store.disk = None    # unwritable cache dir: memory-only
-        _REGISTRY[key] = store
+        store = _REGISTRY[key] = SharedExecutionCache()
     return store
 
 
 def clear_registry() -> None:
     """Drop every store (tests that need cold-cache behaviour)."""
     _REGISTRY.clear()
-
-
-# -- persistent disk tier ---------------------------------------------------
-#
-# One append-only store file per (port wiring, toolchain version,
-# interpreter) — the same identity rule as the in-memory registry,
-# with everything version-shaped folded into the *file name* so a
-# toolchain edit or a Python upgrade simply starts a new file (the old
-# one ages out under the LRU budget).  Records inside the file are
-# content-addressed exactly like the in-memory store: each carries the
-# code bytes it translates, and adoption byte-verifies against the
-# puller's live memory, so the disk tier adds no trust beyond what a
-# sibling process already gets.  The framing, scanning, pruning and
-# env-knob plumbing are the :mod:`repro.framestore` machinery: a torn
-# tail from a killed writer or a corrupted record is detected,
-# skipped, and simply re-translated.
-
-#: bump when the record payload layout changes
-DISK_FORMAT = 2
-
-#: a single compiled block serializes to a few KB; anything claiming
-#: to be bigger is a corrupt length field
-_MAX_RECORD = 1 << 24
-
-_FORMAT = FrameFormat(b"SBX1", _MAX_RECORD, ".sbx")
-_LAYOUT = StoreLayout(_FORMAT, "EXEC_CACHE", "exec", default_mb=64)
-
-# kept under their historical names: tests (and the wire layer's
-# hostile-input fixtures) frame .sbx records by hand with these
-_MAGIC = _FORMAT.magic
-_HEADER = HEADER
-
-
-def _disk_enabled() -> bool:
-    return _LAYOUT.enabled()
-
-
-def exec_cache_dir() -> Path:
-    """``REPRO_EXEC_CACHE_DIR``, else ``<REPRO_CACHE_DIR>/exec``, else
-    ``<repo>/.cache/exec`` (sibling of the firmware build cache)."""
-    return _LAYOUT.directory()
-
-
-def exec_cache_max_bytes() -> int:
-    """Disk budget from ``REPRO_EXEC_CACHE_MAX_MB`` (<= 0: unbounded;
-    default 64 MB — compiled-block records are a few KB each)."""
-    return _LAYOUT.max_bytes()
-
-
-def _store_path(port_key: tuple) -> Path:
-    from repro.aft.cache import toolchain_version  # lazy: avoids cycle
-    identity = (DISK_FORMAT, sys.implementation.cache_tag,
-                toolchain_version(), port_key)
-    return exec_cache_dir() / _LAYOUT.store_name(identity)
-
-
-def prune_exec_cache(directory: Optional[Path] = None,
-                     max_bytes: Optional[int] = None,
-                     keep: Optional[Path] = None) -> int:
-    """Evict least-recently-used ``.sbx`` store files until the cache
-    fits the budget; returns the number of files removed.  ``keep``
-    (the store a live process is appending to) is never evicted —
-    its mtime is refreshed by every append anyway."""
-    return _LAYOUT.prune(directory, max_bytes, keep)
-
-
-# -- store export/import (the fleet blob channel) ---------------------------
-#
-# A remote fleet worker starts translation-cold: its host has never
-# run this firmware.  The coordinator offers its ``.sbx`` store files
-# over the content-addressed blob channel; the worker imports any it
-# doesn't already have and starts warm.  Import is fail-closed in
-# exactly the sense ingestion already is: the blob's sha was verified
-# at the channel layer, and every frame is then re-walked — magic,
-# length bound, payload digest, record shape — with anything invalid
-# dropped (never written).  Record payloads are deserialized with the
-# restricted :func:`~repro.safeload.safe_loads` (frame digests only
-# prove the sender framed its own bytes consistently, so the
-# deserializer itself must be non-executing): a payload referencing
-# any global raises before anything is called, so a corrupt or
-# hostile transfer degrades to "fewer warm frames", never to code
-# execution or a poisoned store.  Adoption-time byte-verification
-# against the puller's live memory still applies on top, as for any
-# locally published frame.
-
-def _validate_block_record(record) -> None:
-    """Raise unless ``record`` has the shape of a block record."""
-    record["pc"], record["code"]
-
-
-def list_store_files() -> List[dict]:
-    """Offerable ``.sbx`` stores in this process's cache dir:
-    ``[{"name", "sha", "size"}, ...]`` — the coordinator's side of the
-    blob-channel handshake."""
-    return _LAYOUT.list_store_files()
-
-
-def read_store_file(name: str) -> Optional[bytes]:
-    """The raw bytes of one offerable store, or ``None`` (bad name,
-    vanished file)."""
-    return _LAYOUT.read_store_file(name)
-
-
-def have_store_file(name: str) -> bool:
-    """Whether this host already has (any version of) the named store
-    — an importer skips those; append-only publishing means the local
-    copy converges on its own."""
-    return _LAYOUT.have_store_file(name)
-
-
-def scan_frames(data: bytes) -> Tuple[bytes, int, int]:
-    """Walk ``data`` as SBX frames and keep only fully valid ones.
-
-    Returns ``(valid frame bytes, records kept, frames rejected)``.
-    The walk applies every check ingestion applies — magic, length
-    bound, payload digest, globals-free restricted unpickling,
-    record shape — and, being an import-time scan of a complete
-    transfer, also treats a torn tail as a rejection rather than
-    "wait for more"."""
-    return scan_store(data, _FORMAT, _validate_block_record)
-
-
-def import_store_file(name: str, data: bytes) -> int:
-    """Install a store fetched from a peer; returns records kept.
-
-    No-ops (returns 0) when caching is disabled, the name is not a
-    valid store name, the store already exists locally, or no frame
-    survives validation.  The validated frames are written atomically
-    under the peer's name — the name encodes the (port wiring,
-    toolchain, interpreter) identity, so a store from a peer with a
-    different environment simply never gets opened here."""
-    return _LAYOUT.import_store_file(name, data,
-                                     _validate_block_record)
-
-
-class DiskTier(AppendStore):
-    """Append-only persistent block store for one port wiring.
-
-    Concurrency model: every record is appended with a single
-    ``O_APPEND`` write, and every frame is self-checking — readers in
-    other processes pick up appended frames incrementally (cheap
-    ``stat`` + read from the last consumed offset) and skip anything
-    torn or corrupt.  No locks, no coordination: the worst race is a
-    duplicate record, which the per-``(pc, code)`` dedup set absorbs.
-
-    The tier stores *record dicts* (plain serialized data); turning a
-    record back into a live compiled block — decoding thunks from the
-    recorded bytes, reviving the marshaled generated code — is the
-    CPU layer's job (:func:`repro.msp430.cpu._block_from_record`),
-    keyed off :meth:`take` at superblock-compile time.
-    """
-
-    __slots__ = ("_records", "_seen", "_counts")
-
-    def __init__(self, path: Path):
-        #: pc -> not-yet-revived record dicts read from the file
-        self._records: Dict[int, List[dict]] = {}
-        #: (pc, code bytes) already read or published — the dedup set
-        self._seen = set()
-        #: pc -> total variants seen (enforces MAX_VARIANTS on disk)
-        self._counts: Dict[int, int] = {}
-        super().__init__(path, _LAYOUT)
-
-    def stats(self) -> dict:
-        return {"path": str(self.path), "loaded": self.loaded,
-                "published": self.published, "corrupt": self.corrupt,
-                "pending": sum(len(v) for v in self._records.values())}
-
-    def _accept(self, record) -> bool:
-        pc = record["pc"]              # wrong shape raises -> corrupt
-        code = record["code"]
-        key = (pc, code)
-        if key in self._seen:
-            return False
-        if self._counts.get(pc, 0) >= MAX_VARIANTS:
-            return False               # rogue-variant cap, on disk too
-        self._seen.add(key)
-        self._counts[pc] = self._counts.get(pc, 0) + 1
-        self._records.setdefault(pc, []).append(record)
-        return True
-
-    def take(self, pc: int) -> Optional[List[dict]]:
-        """Pop (and return) the pending records for ``pc`` — each is
-        revived at most once per process; the revived block then lives
-        in the in-memory store like any other published variant."""
-        return self._records.pop(pc, None)
-
-    def publish(self, record: dict) -> None:
-        """Append one block record, if its ``(pc, code)`` content is
-        new to this store and the per-pc variant cap allows it."""
-        pc = record["pc"]
-        key = (pc, record["code"])
-        if key in self._seen or self._counts.get(pc, 0) >= MAX_VARIANTS:
-            return
-        if not self.publish_record(record):
-            return                     # read-only FS: stay memory-only
-        self._seen.add(key)
-        self._counts[pc] = self._counts.get(pc, 0) + 1

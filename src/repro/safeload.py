@@ -6,11 +6,10 @@ REDUCE calls it, so unpickling attacker-supplied bytes is arbitrary
 code execution — the exploit runs *during* load, before any shape
 check on the result can reject it.
 
-Every payload this codebase ships across a socket or ingests from a
-shared file (device checkpoints, ``.sbx`` translation records) is
-built from primitive types only — ``dict``, ``list``, ``tuple``,
-``str``, ``bytes``, ``int``, ``float``, ``bool``, ``None`` — which
-pickle protocol 2+ encodes with dedicated opcodes that never consult
+Every payload this codebase ships across a socket or resumes from a
+campaign directory (device checkpoints) is built from primitive types
+only — ``dict``, ``list``, ``tuple``, ``str``, ``bytes``, ``int``,
+``float``, ``bool``, ``None`` — which pickle protocol 2+ encodes with dedicated opcodes that never consult
 ``find_class``.  :func:`safe_loads` exploits that: it drives a
 :class:`pickle.Unpickler` whose global resolution and persistent-id
 hooks are disabled, so a payload referencing *any* module-level name
@@ -19,9 +18,9 @@ hooks are disabled, so a payload referencing *any* module-level name
 imported or called on behalf of the payload.
 
 The trade is symmetric: producers must keep serializing primitives
-only (``pickle.dumps`` on the dicts the ``state_dict``/block-record
-layers already emit), and in exchange consumers may load bytes from
-an untrusted peer with no more risk than ``json.loads``.
+only (``pickle.dumps`` on the dicts the ``state_dict`` layers
+already emit), and in exchange consumers may load bytes from an
+untrusted peer with no more risk than ``json.loads``.
 """
 
 from __future__ import annotations

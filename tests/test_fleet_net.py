@@ -5,10 +5,11 @@ The network layer's contract has two halves.  The wire half is
 fail-closed framing and hostile-input hardening: torn, oversized,
 garbage, or digest-mismatched frames raise :class:`WireError` and are
 never acted on; a handshake with a stale campaign key, skewed
-versions, or a failed shared-secret challenge is refused; and
-payloads that *deserialize* (checkpoints, ``.sbx`` records) are
-loaded with a restricted unpickler, so a crafted pickle is rejected
-instead of executed.  The campaign half is transport invariance: a
+versions, or a failed shared-secret challenge is refused — in both
+directions, so a worker holding the secret refuses a coordinator that
+cannot prove it; checkpoints are loaded with a restricted unpickler,
+so a crafted pickle is rejected instead of executed; and nothing a
+coordinator offers is ever turned into code on a worker.  The campaign half is transport invariance: a
 campaign dispatched over sockets — including one that loses a worker
 mid-unit, or loses the coordinator itself — produces byte-identical
 output to the in-process ``--jobs`` path.
@@ -16,6 +17,7 @@ output to the in-process ``--jobs`` path.
 
 import hashlib
 import json
+import marshal
 import os
 import pickle
 import signal
@@ -26,6 +28,7 @@ import sys
 import threading
 import time
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -34,12 +37,11 @@ from repro.errors import ReproError
 from repro.fleet.executor import FleetConfig, run_campaign, _ckpt_path
 from repro.fleet.net.coordinator import SocketTransport
 from repro.fleet.net.protocol import Channel, MAX_FRAME, \
-    PROTO_VERSION, WireError, auth_mac, blob_sha, pack_batch, \
-    unpack_batch
-from repro.fleet.net.worker import FrameBatcher, parse_endpoint, \
-    run_worker
+    PROTO_VERSION, WireError, auth_mac, blob_sha, coordinator_proof, \
+    pack_batch, unpack_batch
+from repro.fleet.net.worker import FrameBatcher, _handshake, \
+    parse_endpoint, run_worker
 from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
-from repro.msp430 import execcache
 from repro.safeload import UnsafePayload, safe_loads
 
 REPO = Path(__file__).resolve().parents[1]
@@ -117,65 +119,6 @@ class TestProtocol:
             parse_endpoint("host:seven")
 
 
-# -- translation-store transfer validation ----------------------------------
-
-def _sbx_frame(record: dict) -> bytes:
-    payload = pickle.dumps(record,
-                           protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).digest()[:16]
-    return (execcache._MAGIC
-            + execcache._HEADER.pack(len(payload), digest) + payload)
-
-
-class TestStoreTransfer:
-    def test_scan_keeps_valid_rejects_torn_tail(self):
-        good = _sbx_frame({"pc": 1, "code": "a"})
-        torn = _sbx_frame({"pc": 2, "code": "b"})[:-3]
-        kept, records, rejected = execcache.scan_frames(good + torn)
-        assert (records, rejected) == (1, 1)
-        assert kept == good
-
-    def test_scan_rejects_corrupt_payload_digest(self):
-        frame = bytearray(_sbx_frame({"pc": 1, "code": "a"}))
-        frame[-1] ^= 0xFF
-        kept, records, rejected = execcache.scan_frames(bytes(frame))
-        assert (kept, records, rejected) == (b"", 0, 1)
-
-    def test_scan_rejects_shapeless_records(self):
-        frame = _sbx_frame({"not": "a block record"})
-        kept, records, rejected = execcache.scan_frames(frame)
-        assert (kept, records, rejected) == (b"", 0, 1)
-
-    def test_import_writes_only_valid_frames(self, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
-        name = "0123456789abcdef.sbx"
-        good = _sbx_frame({"pc": 1, "code": "a"})
-        assert execcache.import_store_file(
-            name, good + b"trailing garbage") == 1
-        assert (tmp_path / name).read_bytes() == good
-        # the imported store is offerable onward, byte for byte
-        assert execcache.have_store_file(name)
-        assert execcache.read_store_file(name) == good
-        # an existing store is never overwritten by an import
-        assert execcache.import_store_file(name, good) == 0
-
-    def test_import_refuses_bad_names_and_empty_scans(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
-        good = _sbx_frame({"pc": 1, "code": "a"})
-        assert execcache.import_store_file("../evil.sbx", good) == 0
-        assert execcache.import_store_file("UPPER.sbx", good) == 0
-        assert execcache.import_store_file(
-            "0123456789abcdef.sbx", b"pure garbage") == 0
-        assert list(tmp_path.glob("*.sbx")) == []
-        # names that escape the cache dir are never served either
-        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path / "c"))
-        (tmp_path / "escape.sbx").write_bytes(good)
-        assert execcache.read_store_file("../escape.sbx") is None
-        assert not execcache.have_store_file("../escape.sbx")
-
-
 # -- non-executing deserialization ------------------------------------------
 
 class _Exploit:
@@ -205,33 +148,6 @@ class TestSafeLoads:
         evil = pickle.dumps(_Exploit(str(marker)))
         with pytest.raises(UnsafePayload):
             safe_loads(evil)
-        assert not marker.exists()
-
-    def test_scan_frames_never_executes_a_hostile_record(
-            self, tmp_path):
-        # a well-framed transfer (magic, length, digest all
-        # self-consistent — an attacker controls those) whose payload
-        # is an exploit pickle: rejected, nothing executed
-        marker = tmp_path / "pwned"
-        frame = _sbx_frame(_Exploit(str(marker)))
-        kept, records, rejected = execcache.scan_frames(frame)
-        assert (kept, records, rejected) == (b"", 0, 1)
-        assert not marker.exists()
-
-    def test_disk_tier_never_executes_a_hostile_record(self, tmp_path):
-        marker = tmp_path / "pwned"
-        store = tmp_path / "0123456789abcdef.sbx"
-        store.write_bytes(_sbx_frame(_Exploit(str(marker))))
-        tier = execcache.DiskTier(store)
-        assert (tier.loaded, tier.corrupt) == (0, 1)
-        assert not marker.exists()
-        # beside a valid record, the exploit is skipped and the valid
-        # record still loads
-        mixed = tmp_path / "fedcba9876543210.sbx"
-        mixed.write_bytes(_sbx_frame({"pc": 0x4400, "code": b"\x01"})
-                          + _sbx_frame(_Exploit(str(marker))))
-        tier = execcache.DiskTier(mixed)
-        assert (tier.loaded, tier.corrupt) == (1, 1)
         assert not marker.exists()
 
     def test_parse_checkpoint_never_executes_a_hostile_blob(
@@ -311,8 +227,7 @@ def _raw_hello(address, **overrides):
     channel = Channel(socket.create_connection((host, port),
                                                timeout=10))
     hello = {"type": "hello", "proto": PROTO_VERSION,
-             "state_version": STATE_VERSION,
-             "disk_format": execcache.DISK_FORMAT,
+             "state_version": STATE_VERSION, "nonce": "00" * 32,
              "campaign": None, "worker": "probe", "host": "test"}
     hello.update(overrides)
     channel.send(hello)
@@ -325,7 +240,6 @@ def _subprocess_env(tmp_path):
     env = os.environ.copy()
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
-    env["REPRO_EXEC_CACHE_DIR"] = str(tmp_path / "subproc-exec")
     return env
 
 
@@ -548,6 +462,24 @@ class TestCoordinatorHardening:
             assert channel.sent == [({"type": "blob_missing",
                                       "name": name}, None)]
 
+    def test_translation_store_names_are_never_served(
+            self, tmp_path, monkeypatch):
+        # a translation-store file where the cache dir would hold one,
+        # asked for by its exact sha: still missing — the coordinator
+        # serves checkpoints and nothing else
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        store = tmp_path / "cache" / "exec" / "0123456789abcdef.sbx"
+        store.parent.mkdir(parents=True)
+        store.write_bytes(b"SBX1 store bytes")
+        transport = SocketTransport()
+        transport._campaign = {"out_dir": str(tmp_path / "out")}
+        channel = _RecordingChannel()
+        name = f"sbx:{store.name}"
+        transport._serve_blob(channel, {
+            "name": name, "sha": blob_sha(b"SBX1 store bytes")})
+        assert channel.sent == [({"type": "blob_missing",
+                                  "name": name}, None)]
+
 
 class TestSharedSecret:
     def test_secret_gates_admission_and_authed_workers_run(
@@ -563,7 +495,7 @@ class TestSharedSecret:
                                                    timeout=10))
         channel.send({"type": "hello", "proto": PROTO_VERSION,
                       "state_version": STATE_VERSION,
-                      "disk_format": execcache.DISK_FORMAT,
+                      "nonce": "00" * 32,
                       "campaign": None, "worker": "probe",
                       "host": "test"})
         reply, _ = channel.recv(timeout=10)
@@ -577,6 +509,21 @@ class TestSharedSecret:
         channel.close()
         # a worker without the secret fails fast (exit 2, no retry)
         assert run_worker(address, worker_id="keyless") == 2
+        # the status observer shares the worker's handshake: with the
+        # secret it gets a report, without it a clear refusal
+        env = _subprocess_env(tmp_path)
+        status = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "fleet", "status",
+             address], env={**env, "REPRO_FLEET_SECRET": secret.decode()},
+            capture_output=True, text=True, timeout=60)
+        assert status.returncode == 0, status.stderr
+        assert "campaign" in status.stdout
+        keyless = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "fleet", "status",
+             address], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert keyless.returncode != 0
+        assert "shared secret" in keyless.stderr
         # workers holding the secret run the campaign to the same bytes
         codes = {}
 
@@ -597,6 +544,198 @@ class TestSharedSecret:
             (reference / "summary.json").read_bytes()
         assert (out / "devices-mpu.jsonl").read_bytes() == \
             (reference / "devices-mpu.jsonl").read_bytes()
+
+
+# -- the worker's view of the coordinator -----------------------------------
+
+class _FakeCoordinator:
+    """One scripted coordinator connection on an ephemeral loopback
+    port.  ``script(fake, channel, hello)`` plays the coordinator's
+    side after the worker's hello; :meth:`next_frame` records every
+    later frame the worker sends."""
+
+    def __init__(self, script):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        host, port = self._listener.getsockname()[:2]
+        self.address = f"{host}:{port}"
+        self.hello = None
+        self.frames = []
+        self.error = None
+
+        def _run():
+            channel = None
+            try:
+                conn, _ = self._listener.accept()
+                channel = Channel(conn)
+                self.hello, _ = channel.recv(timeout=10)
+                script(self, channel, self.hello)
+            except BaseException as error:   # surfaced in join()
+                self.error = error
+            finally:
+                if channel is not None:
+                    channel.close()
+                self._listener.close()
+
+        self.thread = threading.Thread(target=_run, daemon=True)
+        self.thread.start()
+
+    def next_frame(self, channel):
+        """The worker's next frame, or ``None`` once it hangs up."""
+        try:
+            message, blob = channel.recv(timeout=10)
+        except WireError:
+            return None, None
+        self.frames.append(message)
+        return message, blob
+
+    def join(self):
+        self.thread.join(timeout=30)
+        assert not self.thread.is_alive(), "fake coordinator hung"
+        if self.error is not None:
+            raise self.error
+
+
+def _welcome(**extra):
+    config = FleetConfig(**_CAMPAIGN)
+    return {"type": "welcome", "campaign": config.key(),
+            "config": asdict(config), "cache_mode": "shared",
+            "profile": False, "heartbeat_s": 30.0,
+            "idle_retry_s": 0.1, "lease_timeout_s": 30.0, **extra}
+
+
+def _serve_until_lease_req(fake, channel, blobs):
+    """Answer blob requests from ``blobs`` until the worker asks for
+    work, then end the campaign."""
+    while True:
+        message, _ = fake.next_frame(channel)
+        if message is None:
+            return
+        if message["type"] == "blob_get":
+            data = blobs.get(message["name"])
+            if data is None:
+                channel.send({"type": "blob_missing",
+                              "name": message["name"]})
+            else:
+                channel.send({"type": "blob", "name": message["name"]},
+                             blob=data)
+        elif message["type"] == "lease_req":
+            channel.send({"type": "shutdown"})
+            return
+
+
+def _foreign_store(marker: Path) -> bytes:
+    """A translation store in the old ``.sbx`` framing (magic, length,
+    16-byte digest prefix, pickled record) holding one block record of
+    real shape whose ``fn`` is foreign code that creates ``marker``."""
+    foreign = compile(f"open({str(marker)!r}, 'w').close()",
+                      "<foreign>", "exec")
+    record = {"pc": 0x4400, "end": 0x4404, "end_pc": 0x4404,
+              "pure": True, "loop": False,
+              "code": b"\x3f\x40\x34\x12",          # MOV #0x1234, R15
+              "steps": [(0x4400, 0x4404, 2, False, None, None)],
+              "fn": marshal.dumps(foreign)}
+    payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(payload).digest()[:16]
+    return b"SBX1" + struct.pack("<I16s", len(payload), digest) \
+        + payload
+
+
+class TestWorkerTrust:
+    def test_offered_translation_stores_are_never_fetched(
+            self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        marker = tmp_path / "pwned"
+        store = _foreign_store(marker)
+        name = "0123456789abcdef.sbx"
+        offer = {"name": name, "sha": blob_sha(store),
+                 "size": len(store)}
+
+        def script(fake, channel, hello):
+            channel.send(_welcome(stores=[offer]))
+            _serve_until_lease_req(fake, channel, {f"sbx:{name}": store})
+
+        fake = _FakeCoordinator(script)
+        code = run_worker(fake.address, worker_id="w0", retry_limit=0)
+        fake.join()
+        assert code == 0
+        # the worker's first word after the welcome asks for work,
+        # never for the offered store
+        assert fake.frames[0]["type"] == "lease_req"
+        assert not any(frame["type"] == "blob_get"
+                       and str(frame.get("name")).startswith("sbx:")
+                       for frame in fake.frames)
+        # nothing offered lands anywhere in the cache dir, let alone
+        # under exec/, and the foreign code never ran
+        assert not cache.exists()
+        assert not marker.exists()
+
+    def test_secret_holder_refuses_a_coordinator_that_skips_the_challenge(
+            self):
+        def script(fake, channel, hello):
+            channel.send(_welcome())
+            if fake.next_frame(channel)[0] is not None:
+                channel.send({"type": "shutdown"})
+
+        fake = _FakeCoordinator(script)
+        code = run_worker(fake.address, worker_id="w0",
+                          secret=b"fleet-secret-7", retry_limit=0)
+        fake.join()
+        assert code == 2
+        assert fake.frames == []        # nothing after the hello
+
+    @pytest.mark.parametrize("forge", [
+        # a coordinator holding some other key
+        lambda nonce: coordinator_proof(b"guess", nonce),
+        # the worker-direction mac of the worker's own nonce: proofs
+        # are labelled per direction, so this one proves nothing
+        lambda nonce: auth_mac(b"fleet-secret-7", nonce),
+    ], ids=["wrong-key", "unlabelled"])
+    def test_secret_holder_refuses_a_wrong_coordinator_proof(self, forge):
+        def script(fake, channel, hello):
+            channel.send({"type": "challenge", "nonce": "ab" * 32,
+                          "proof": forge(hello.get("nonce", ""))})
+            if fake.next_frame(channel)[0] is not None:
+                channel.send({"type": "shutdown"})
+
+        fake = _FakeCoordinator(script)
+        code = run_worker(fake.address, worker_id="w0",
+                          secret=b"fleet-secret-7", retry_limit=0)
+        fake.join()
+        assert code == 2
+        assert fake.frames == []        # no auth mac handed out
+
+    def test_mutual_handshake_admits_a_proving_coordinator(self):
+        secret = b"fleet-secret-7"
+        seen = {}
+
+        def script(fake, channel, hello):
+            nonce = "cd" * 32
+            channel.send({"type": "challenge", "nonce": nonce,
+                          "proof": coordinator_proof(secret,
+                                                     hello["nonce"])})
+            reply, _ = fake.next_frame(channel)
+            seen["mac_ok"] = reply["mac"] == auth_mac(secret, nonce)
+            channel.send({"type": "status", "campaign": "c0ffee"})
+
+        fake = _FakeCoordinator(script)
+        host, port = parse_endpoint(fake.address)
+        channel = Channel(socket.create_connection((host, port),
+                                                   timeout=10))
+        try:
+            status = _handshake(channel, None, "observer", secret,
+                                role="status")
+        finally:
+            channel.close()
+        fake.join()
+        assert status["campaign"] == "c0ffee"
+        assert seen == {"mac_ok": True}
+        assert fake.hello["role"] == "status"
+        # the two directions' proofs never coincide, so neither side
+        # can be used to mint the other's
+        nonce = fake.hello["nonce"]
+        assert coordinator_proof(secret, nonce) != \
+            auth_mac(secret, nonce)
 
 
 class TestCliValidation:
