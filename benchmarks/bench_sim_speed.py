@@ -13,8 +13,13 @@ Tracks the simulator's raw speed across PRs.  Two workloads:
   memory-heavy).
 
 ``--step-only`` forces :attr:`Cpu.block_mode` off, measuring the
-per-instruction interpreter alone — record one run with it and one
+per-instruction reference interpreter alone (every instruction
+through its ``_op_*`` handler) — record one run with it and one
 without for a before/after pair under identical harness conditions.
+Step-only rows in ``BENCH_sim.json`` recorded while ``step()`` still
+ran per-instruction closures (the *thunks*, since deleted) measured a
+faster interpreter and are not comparable with later ones: the
+reference interpreter runs about 2–3× slower on the same host.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_sim_speed.py``)
 to append a record to ``BENCH_sim.json`` at the repo root, or via
@@ -158,8 +163,8 @@ def main() -> int:
                         help="windows per workload; best is kept")
     parser.add_argument("--step-only", action="store_true",
                         help="disable superblocks (Cpu.block_mode "
-                             "= False): measure the pure "
-                             "per-instruction interpreter")
+                             "= False): measure the per-instruction "
+                             "reference interpreter")
     args = parser.parse_args()
     entry = record(args.label, args.seconds, args.repeats,
                    args.step_only)

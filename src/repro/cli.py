@@ -452,9 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-mode", default="shared", choices=("shared", "step"),
         help="execution-cache strategy: 'shared' publishes translated "
              "blocks process-wide so same-firmware devices skip "
-             "translation, 'step' is the reference interpreter "
-             "(results are identical across modes; only speed "
-             "differs)")
+             "translation, 'step' runs every instruction through the "
+             "reference interpreter that generated blocks are checked "
+             "against, several times slower (results are identical "
+             "across modes; only speed differs)")
     fleet_run.add_argument(
         "--profile", action="store_true",
         help="profile the campaign: cProfile each work unit "

@@ -1,13 +1,15 @@
 """Differential fuzzing and fault injection.
 
 Two engines pin the simulator's exactness-critical fast paths (the
-permission bitmap, instruction thunks, and superblock compiler from
-PR 1/2) and the paper's containment claim:
+permission bitmap and its fast map, and the superblock code
+generator) and the paper's containment claim:
 
 * the **differential engine** (:mod:`repro.fuzz.generator`,
   :mod:`repro.fuzz.harness`) generates seeded random MSP430 programs
-  and executes each one twice — superblock mode vs. forced ``step()``
-  mode — asserting bit-identical architectural state at every
+  and executes each one twice — generated superblocks vs. forced
+  ``step()`` mode, the independent reference interpreter (the
+  per-opcode handlers, which share no code with the generated
+  blocks) — asserting bit-identical architectural state at every
   checkpoint; divergences are shrunk (:mod:`repro.fuzz.shrink`) to a
   minimal replayable ``.s`` case under ``tests/fuzz_corpus/``;
 * the **attack engine** (:mod:`repro.fuzz.attacks`) compiles a library

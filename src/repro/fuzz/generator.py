@@ -17,6 +17,14 @@ the simulator's fast paths:
   not, exercising in-block permission revalidation),
 * stores into the program's own code bytes (icache/superblock
   invalidation), call/ret/push/pop traffic, and forward branches,
+* the stack and status-register idioms of compiled code: SP adjusts
+  (``SUB #2k, SP`` ... ``ADD #2k, SP``), SP saved in and restored from
+  a register, stack switches through a saved-SP word (``MOV &x, SP``,
+  ``MOV x(Rn), SP``) and ``BIC``/``BIS #k, SR``, each followed by an
+  instruction that reads the flags it left,
+* word and byte ``CMP`` against ``x(Rn)`` and ``&x`` followed by a
+  conditional jump, and conditional jumps that end a block (a skip
+  over an instruction the superblock compiler leaves to ``step()``),
 * calls into the linked MiniC runtime (``__udivmod``, ``__mulhi``,
   ``__divhi``, ``__remhi``) with boundary operands — the loops the
   simulator replaces with native models — and
@@ -223,8 +231,8 @@ class _Generator:
             base = (address - offset) & 0xFFFF
             return [f"    MOV #0x{base:04X}, {pointer}",
                     f"    MOV{suffix} {value}, {offset}({pointer})"]
-        # read-modify-write: ADD into memory (the specialized
-        # _spec_add_to_mem thunk)
+        # read-modify-write: ADD into memory (an inline shape of its
+        # own in generated blocks)
         return [f"    MOV #0x{address:04X}, {pointer}",
                 f"    ADD {value}, 0({pointer})"]
 
@@ -332,6 +340,120 @@ class _Generator:
             lines += self._helper_call()
         return lines
 
+    def _label(self) -> str:
+        label = f"K{self.label_counter}"
+        self.label_counter += 1
+        return label
+
+    def _flag_use(self) -> List[str]:
+        """Lines whose result depends on the flags left by the line
+        before: a carry-in ALU op, or a conditional skip over one ALU
+        op (inside a block: an inline diamond)."""
+        rnd = self.rnd
+        roll = rnd.random()
+        if roll < 0.25:
+            return [f"    {rnd.choice(('ADDC', 'SUBC'))} #0, {self._reg()}"]
+        if roll < 0.4:
+            return [f"    RRC {self._reg()}"]
+        label = self._label()
+        return ([f"    {rnd.choice(_JCC[:-1])} {label}"]
+                + self._alu_reg() + [f"{label}:"])
+
+    def _stack_frame(self) -> List[str]:
+        """Reserve a frame with ``SUB #2k, SP``, use it, release it
+        with ``ADD #2k, SP`` — the prologue/epilogue stack adjust."""
+        rnd = self.rnd
+        size = 2 * rnd.randint(1, 8)
+        lines = [f"    SUB #{size}, SP"] + self._flag_use()
+        for _ in range(rnd.randint(0, 2)):
+            offset = 2 * rnd.randrange(size // 2)
+            if rnd.random() < 0.5:
+                lines.append(f"    MOV {self._reg()}, {offset}(SP)")
+            else:
+                lines.append(f"    MOV {offset}(SP), {self._reg()}")
+        return lines + [f"    ADD #{size}, SP"] + self._flag_use()
+
+    def _stack_save(self) -> List[str]:
+        """``MOV SP, Rn`` ... ``MOV Rn, SP``: save the stack pointer
+        in a register, move the stack, restore it.  The register may
+        be nudged odd first: the SP write keeps bit 0 clear."""
+        rnd = self.rnd
+        saved = self._reg()
+        others = [f"R{n}" for n in range(4, 15) if f"R{n}" != saved]
+        lines = [f"    MOV SP, {saved}",
+                 f"    SUB #{2 * rnd.randint(1, 16)}, SP",
+                 f"    PUSH {rnd.choice(others)}",
+                 f"    POP {rnd.choice(others)}"]
+        if rnd.random() < 0.2:
+            lines.append(f"    ADD #1, {saved}")
+        return lines + [f"    MOV {saved}, SP"]
+
+    def _stack_switch(self) -> List[str]:
+        """Switch stacks through saved-SP words in scratch memory (the
+        kernel's context-switch idiom): save SP, load another stack
+        pointer with ``MOV &x, SP`` or ``MOV x(Rn), SP``, push and pop
+        there, switch back the same way."""
+        rnd = self.rnd
+        save = SCRATCH_LO + 2 * rnd.randrange((SCRATCH_HI - SCRATCH_LO) // 2)
+        other = SCRATCH_LO + 2 * rnd.randrange((SCRATCH_HI - SCRATCH_LO) // 2)
+        new_sp = rnd.randrange(0x2100, 0x23F0) | rnd.choice((0, 0, 0, 1))
+        lines = [f"    MOV SP, &0x{save:04X}",
+                 f"    MOV #0x{new_sp:04X}, &0x{other:04X}"]
+
+        def load_sp(address: int) -> List[str]:
+            if rnd.random() < 0.5:
+                return [f"    MOV &0x{address:04X}, SP"]
+            pointer = self._reg()
+            offset = rnd.choice((0, 2, 4, 16))
+            return [f"    MOV #0x{address - offset:04X}, {pointer}",
+                    f"    MOV {offset}({pointer}), SP"]
+
+        lines += load_sp(other)
+        lines += [f"    PUSH {self._reg()}", f"    POP {self._reg()}"]
+        return lines + load_sp(save)
+
+    def _sr_twiddle(self) -> List[str]:
+        """``BIC``/``BIS`` on SR (CLRC/SETC and friends), then a use
+        of the flags."""
+        rnd = self.rnd
+        op = rnd.choice(("BIC", "BIS"))
+        if rnd.random() < 0.8:
+            src = "#" + str(rnd.choice((1, 2, 4, 0x100, 0x107,
+                                        rnd.randrange(0x10000))))
+        else:
+            src = self._reg()
+        return [f"    {op} {src}, SR"] + self._flag_use()
+
+    def _compare(self) -> List[str]:
+        """Word or byte ``CMP`` against ``&x`` or ``x(Rn)`` (the
+        poll-a-variable idiom), then a conditional jump on it."""
+        rnd = self.rnd
+        address = self._address()
+        suffix = self._suffix()
+        value = f"#{self._imm()}" if rnd.random() < 0.5 else self._reg()
+        if rnd.random() < 0.5:
+            lines = [f"    CMP{suffix} {value}, &0x{address:04X}"]
+        else:
+            pointer = self._reg()
+            offset = rnd.choice((0, 2, 4, 16))
+            lines = [f"    MOV #0x{(address - offset) & 0xFFFF:04X}, "
+                     f"{pointer}",
+                     f"    CMP{suffix} {value}, {offset}({pointer})"]
+        label = self._label()
+        return lines + [f"    {rnd.choice(_JCC[:-1])} {label}"] \
+            + self._alu_reg() + [f"{label}:"]
+
+    def _skip_slow(self) -> List[str]:
+        """A conditional skip over ``DADD``, which has no inline form:
+        the trace ends before the skip's target, so the jump closes
+        its block."""
+        rnd = self.rnd
+        label = self._label()
+        src = f"#{self._imm()}" if rnd.random() < 0.5 else self._reg()
+        return [f"    {rnd.choice(_JCC[:-1])} {label}",
+                f"    DADD {src}, {self._reg()}",
+                f"{label}:"]
+
     def _call(self) -> List[str]:
         if self.sub_count == 0:
             return self._alu_reg()
@@ -395,7 +517,10 @@ class _Generator:
             (self._store, 14), (self._push_pop, 8), (self._loop, 8),
             (self._mpu_write, 8), (self._selfmod, 3), (self._call, 5),
             (self._helper_call, 6), (self._store_near_code, 6),
-            (self._stack_near_code, 2),
+            (self._stack_near_code, 2), (self._stack_frame, 4),
+            (self._stack_save, 3), (self._stack_switch, 3),
+            (self._sr_twiddle, 4), (self._compare, 6),
+            (self._skip_slow, 3),
         )
         population = [fn for fn, weight in emitters for _ in range(weight)]
 

@@ -19,38 +19,57 @@ Decoded instructions are cached per 64-byte block; any memory write
 invalidates the blocks it touches, so self-modifying code and
 firmware reloads stay correct.
 
+Two semantics, one reference
+----------------------------
+
+Each instruction's semantics is written twice, independently:
+
+* the ``_op_*`` handlers, which :meth:`Cpu.step` — the **reference
+  interpreter** — runs for every instruction, and
+* the inline source lines of :func:`_inline_step`, the only thing
+  generated superblocks run.
+
+``step()`` never executes generated code and superblocks never call a
+handler, so the block-vs-step differential tests (and ``repro fuzz``,
+and ``--cache-mode step`` campaigns) check the fast path against a
+reference that shares none of its code.
+
 Superblocks
 -----------
 
-On top of the per-instruction thunks, :meth:`Cpu.run` compiles
-straight-line runs of already-decoded thunks into *superblocks*: one
-Python-level dispatch per block instead of one ``step()`` round trip
-per instruction.  A block starts at a hot PC and extends until the
-first
+:meth:`Cpu.run` compiles straight-line runs of decoded instructions
+into *superblocks*: one Python-level dispatch per block instead of one
+``step()`` round trip per instruction.  A block is code-generated
+when it is built.  It starts at the PC ``run`` reaches and extends
+until the first
 
-* jump (included as the block's final instruction), call, return, or
-  any other instruction without a specialized thunk,
+* jump, call, return or other PC write (included as the block's final
+  instruction),
 * instruction whose absolute operand hits a memory-mapped I/O port —
   kernel gates (service/done/fault ports), MPU registers, the cycle
-  timer — so gate crossings and MPU reprogramming always run through
-  ``step()``, or
+  timer — (included as the final instruction, so ``run`` re-checks
+  its guards right after the port access),
+* instruction :func:`_inline_step` has no source lines for (DADD,
+  memory-source ALU ops, CALL/PUSH through memory, RETI, rare operand
+  shapes), which ``step()`` runs, or
 * the 64-instruction block-size cap.
 
 Blocks come in two flavours, decided by a compile-time "may touch
-memory" summary: **pure** blocks (register-only thunks, optionally a
+memory" summary: **pure** blocks (register-only steps, optionally a
 final jump) skip *all* per-instruction bookkeeping — the PC, cycle and
 instruction counters are written once per block — while **memory**
 blocks keep the architectural counters and PC exact around every
-thunk, so I/O read handlers (the cycle timer), fault PCs, and pending
-service faults observe bit-identical state to ``step()``.
+step that can observe them, so I/O read handlers (the cycle timer),
+fault PCs, and pending service faults observe bit-identical state to
+``step()``.
 
 Memory blocks inline their word loads and stores: an access the bus's
 *fast map* marks as plain RAM (permitted by the current MPU bitmap,
 no I/O port, no write hook) — and, for a store, on a page without
 cached code — reads or writes the backing ``bytearray`` directly.
-Everything else calls ``Memory.read_word``/``write_word`` as a thunk
-would, so I/O ports, denials (errors and MPU violation flags), write
-hooks and code invalidation keep their exact behaviour.
+Everything else calls ``Memory.read_word``/``write_word`` as a
+handler would, so I/O ports, denials (errors and MPU violation
+flags), write hooks and code invalidation keep their exact behaviour.
 
 Two hot *loop* blocks — the shift-and-add loops of the runtime's
 ``__udivmod`` and ``__mulhi`` helpers, recognised by their verified
@@ -136,21 +155,24 @@ _ZERO_MASK = bytes(1024)
 
 
 class _Block:
-    """One compiled superblock: a trace of decoded thunks fused into a
-    single ``compile()``-generated function ``fn``.
+    """One compiled superblock: a straight-line trace of decoded
+    instructions fused into a single ``compile()``-generated function
+    ``fn``.
 
-    ``steps`` holds ``(pc, next_pc, thunk, cycles, may_store, jump)``
-    per instruction (kept for invalidation tests and diagnostics).
-    ``jump`` is ``None`` for straight-line steps and for a final jump
-    executed via its thunk; mid-trace conditional jumps carry either
-    ``("exit", cond, target)`` — compiled to an inline early return —
-    or ``("skip", cond, n, cycles, count, target)`` — a forward jump
-    re-joining the trace, compiled to a structured ``if`` around the
-    ``n`` skipped steps.  Three flavors of ``fn``:
+    ``steps`` holds ``(pc, next_pc, cycles, may_store, jump, inline)``
+    per instruction, where ``inline`` is the instruction's source lines
+    from :func:`_inline_step` (kept for invalidation tests and
+    diagnostics).  ``jump`` is ``None`` for straight-line steps and for
+    a block-final jump (whose ``inline`` lines set the PC); mid-trace
+    conditional jumps carry either ``("exit", cond, target)`` —
+    compiled to an inline early return — or ``("skip", cond, n,
+    cycles, count, target)`` — a forward jump re-joining the trace,
+    compiled to a structured ``if`` around the ``n`` skipped steps.
+    Three flavors of ``fn``:
 
-    * **pure** — register-only thunks (plus inline jumps and an
-      optional final jump): ``fn(cpu, r, m)`` sets the PC once, calls
-      the thunks back to back, and adds the cycle/instruction totals
+    * **pure** — register-only steps (plus inline jumps and an
+      optional final jump): ``fn(cpu, r, m)`` sets the PC once, runs
+      the steps back to back, and adds the cycle/instruction totals
       in one batch (skip/exit paths adjust the batch with compile-time
       prefix constants).
     * **loop** — a pure block whose final jump targets its own start:
@@ -159,15 +181,17 @@ class _Block:
       exiting as soon as the back-edge falls through or an inline exit
       is taken.
     * **memory** — anything that touches memory: ``fn(cpu, r, m)``
-      maintains PC and both counters per instruction (so I/O read
-      handlers such as the cycle timer observe exactly the state
-      ``step()`` would show) and re-checks halt/pending-fault/
-      invalidation/observability after every store that goes through
-      the bus (an inline plain-RAM store can change none of them).
+      maintains PC and both counters around every step that can
+      observe them (so I/O read handlers such as the cycle timer see
+      exactly the state ``step()`` would show) and re-checks
+      halt/pending-fault/invalidation/observability after every store
+      that goes through the bus (an inline plain-RAM store can change
+      none of them).
 
     A loop block whose code bytes are a runtime-helper loop gets a
     native model with the loop contract as its ``fn`` instead (see
-    :mod:`repro.msp430.intrinsics`).
+    :mod:`repro.msp430.intrinsics`).  ``fn`` is made when the block is
+    built.
 
     ``cycles`` and ``count`` are the *full-path* totals (every step
     executed, nothing skipped) — upper bounds used for budget guards.
@@ -190,59 +214,37 @@ class _Block:
 
     __slots__ = ("start", "end", "end_pc", "steps", "cycles", "count",
                  "pure", "loop", "perm_ok", "perm_ok2", "fn", "pc_map",
-                 "code", "execs", "proto")
+                 "code")
 
-    def __init__(self, start: int, end: int, end_pc: int,
-                 steps: tuple, pure: bool, loop: bool):
+    def __init__(self, start: int, end: int, steps: tuple, pure: bool,
+                 loop: bool, code: bytes):
         self.start = start
         self.end = end                  # one past the last code byte
-        self.end_pc = end_pc            # pc after the last instruction
+        self.end_pc = steps[-1][1]      # pc after the last instruction
         self.steps = steps
-        self.cycles = sum(s[3] for s in steps)
+        self.cycles = sum(s[2] for s in steps)
         self.count = len(steps)
         self.pure = pure
         self.loop = loop
         self.perm_ok = None
         self.perm_ok2 = None            # previous validation (see run)
         self.pc_map = {s[1]: s[0] for s in steps}
-        self.code = None                # bytes compiled from (sharing)
-        # Tiered execution: ``fn`` stays None for the first dispatches
-        # (run() walks the steps through _interp_block) and is only
-        # codegen'd once the block proves hot — code executed once or
-        # twice never pays ``compile()``.  ``proto`` points at the
-        # published original for adopted copies, so one codegen serves
-        # every device sharing the block.  Tiering is per device: an
-        # adopted copy starts at tier 0 even when its prototype is
-        # hot, so which dispatches run interpretively (and take the
-        # bus for every access) does not depend on what sibling
-        # devices ran before.
-        self.fn = None
-        self.execs = 0
-        self.proto = None
+        self.code = code                # bytes compiled from (sharing)
+        # a runtime-helper loop runs its native model, anything else
+        # generated code
+        self.fn = intrinsic_for(self) or _codegen(self)
 
     def adopt(self) -> "_Block":
         """A per-device shallow copy for shared-cache adoption: every
-        heavy member (steps, pc_map, code, and the prototype's ``fn``
-        once this copy is hot) is shared by reference; the tier state
-        and the ``perm_ok`` validation cache are private, so devices
-        with different MPU configurations never thrash each other's
-        re-validation of one shared block object."""
+        heavy member (steps, pc_map, code, ``fn``) is shared by
+        reference; only the ``perm_ok`` validation cache is private,
+        so devices with different MPU configurations never thrash each
+        other's re-validation of one shared block object."""
         nb = _Block.__new__(_Block)
-        nb.start = self.start
-        nb.end = self.end
-        nb.end_pc = self.end_pc
-        nb.steps = self.steps
-        nb.cycles = self.cycles
-        nb.count = self.count
-        nb.pure = self.pure
-        nb.loop = self.loop
+        for name in _Block.__slots__:
+            setattr(nb, name, getattr(self, name))
         nb.perm_ok = None
         nb.perm_ok2 = None
-        nb.fn = None
-        nb.execs = 0
-        nb.proto = self
-        nb.pc_map = self.pc_map
-        nb.code = self.code
         return nb
 
 
@@ -250,13 +252,13 @@ def _codegen(blk: _Block):
     """Fuse a block's steps into one compiled Python function.
 
     The generated code inlines every PC value and cycle count as a
-    constant and binds the thunks as globals, so executing a block
-    costs one Python call plus the thunk bodies — the per-instruction
+    constant and every instruction's :func:`_inline_step` lines, so
+    executing a block costs one Python call — no per-instruction
     interpreter loop (tuple unpacking, index bookkeeping, budget and
-    halt polling) is gone.
+    halt polling) and no per-instruction call.  The function reads
+    nothing but its arguments: it is compiled with no globals.
 
-    Conditional jumps inside the trace are emitted *inline* (their
-    flag test compiled into the function, no thunk call):
+    Conditional jumps inside the trace are emitted inline:
 
     * an **exit** jump returns with exact cycle/instruction prefix
       bookkeeping and the taken-target PC when taken, and falls
@@ -266,18 +268,18 @@ def _codegen(blk: _Block):
       arm's cycle/instruction share is tracked in ``_sk``/``_skn``
       accumulators so batched bookkeeping stays exact on both paths.
 
-    Jumps that *close* a block (an unconditional JMP, or the loop
-    back-edge) still execute via their thunk, which performs the PC
-    update relative to the preset ``r[0]``.
+    Jumps that *close* a block (an unconditional JMP, a loop back-edge,
+    a forward jump whose target the trace never reached) are the
+    block's final step: their lines move ``r[0]`` off the preset
+    fall-through PC when taken.
     """
-    ns = {}
     steps = blk.steps
-    has_diamond = any(s[5] is not None and s[5][0] == "skip"
+    has_diamond = any(s[4] is not None and s[4][0] == "skip"
                       for s in steps)
     pre_cyc = []                 # inclusive prefix sums for exits
     acc = 0
     for s in steps:
-        acc += s[3]
+        acc += s[2]
         pre_cyc.append(acc)
     lines = []
     emit = lines.append
@@ -302,7 +304,7 @@ def _codegen(blk: _Block):
             cyc_n = f"{blk.cycles} * n + "
             cnt_n = f"{blk.count} * n + "
         else:
-            # Register-only straight line: no thunk can fault, halt,
+            # Register-only straight line: no step can fault, halt,
             # or observe PC/counters, so set the PC once and batch
             # the bookkeeping after the fact.
             emit("def _fn(c, r, m):")
@@ -315,14 +317,10 @@ def _codegen(blk: _Block):
         ind = base
         arm = 0                  # steps left in an open diamond arm
         for i, s in enumerate(steps):
-            info = s[5]
+            info = s[4]
             if info is None:
-                if s[6] is not None:
-                    for ln in s[6]:
-                        emit(f"{ind}{ln}")
-                else:
-                    ns[f"_t{i}"] = s[2]
-                    emit(f"{ind}_t{i}(r, m)")
+                for ln in s[5]:
+                    emit(f"{ind}{ln}")
             elif info[0] == "skip":
                 _, cond, nskip, skc, sks, _target = info
                 emit(f"{ind}if {cond}:")
@@ -353,19 +351,20 @@ def _codegen(blk: _Block):
             emit(f"    c.instructions += {blk.count}{skn}")
     else:
         # Memory-touching block: exact architectural state around
-        # every thunk.  A store may halt the machine (DONE port), post
-        # a fault (FAULT port / service handler), invalidate cached
-        # code — possibly this very block (self-modifying code) —
-        # stale the permission bitmap (MPU register), or attach an
-        # observer — each check mirrors what ``step()`` + ``run()``
-        # would do at that boundary.  Invalidation is detected through
-        # the *executing CPU's* ``_code_version`` (sampled on entry)
-        # rather than a flag on the block, so one device invalidating
-        # a block shared through the execution cache never perturbs a
-        # sibling device mid-flight.
+        # every step that can observe it.  A store may halt the
+        # machine (DONE port), post a fault (FAULT port / service
+        # handler), invalidate cached code — possibly this very block
+        # (self-modifying code) — stale the permission bitmap (MPU
+        # register), or attach an observer — each check mirrors what
+        # ``step()`` + ``run()`` would do at that boundary.
+        # Invalidation is detected through the *executing CPU's*
+        # ``_code_version`` (sampled on entry) rather than a flag on
+        # the block, so one device invalidating a block shared through
+        # the execution cache never perturbs a sibling device
+        # mid-flight.
         emit("def _fn(c, r, m):")
         emit("    _v = c._code_version")
-        body = [ln for s in steps if s[6] is not None for ln in s[6]]
+        body = [ln for s in steps if s[5] is not None for ln in s[5]]
         if any("_fm[" in ln for ln in body):
             # inline bus fast path (see _ld/_st): the backing bytes,
             # the fast map matching the bitmap ``run`` refreshed
@@ -377,12 +376,12 @@ def _codegen(blk: _Block):
             emit("    _s = 0")
         ind = "    "
         arm = 0
-        # Consecutive register-only inline steps can neither fault,
-        # halt, nor read the deferred PC, so their PC updates are
-        # unobservable and their cycle/instruction bookkeeping batches
-        # into one pending sum, flushed before the next step that can
-        # observe it (a memory access, a jump, an arm boundary, the
-        # end of the block).
+        # Consecutive register-only steps can neither fault, halt, nor
+        # read the deferred PC, so their PC updates are unobservable
+        # and their cycle/instruction bookkeeping batches into one
+        # pending sum, flushed before the next step that can observe
+        # it (a memory access, a jump, an arm boundary, the end of the
+        # block).
         pend_c = pend_n = 0
 
         def flush():
@@ -393,7 +392,7 @@ def _codegen(blk: _Block):
                 pend_c = pend_n = 0
 
         for i, s in enumerate(steps):
-            pc_i, next_pc, thunk, cyc_i, may_store, info, inline = s
+            _pc, next_pc, cyc_i, may_store, info, inline = s
             if info is not None and info[0] == "skip":
                 _, cond, nskip, _skc, _sks, target = info
                 flush()
@@ -414,9 +413,8 @@ def _codegen(blk: _Block):
                 emit(f"{ind}if {info[1]}:")
                 emit(f"{ind}    r[0] = {info[2]}")
                 emit(f"{ind}    return")
-            elif (inline is not None and not may_store
-                    and not any("m." in ln or "r[0]" in ln
-                                for ln in inline)):
+            elif not may_store and not any("m." in ln or "r[0]" in ln
+                                           for ln in inline):
                 for ln in inline:
                     emit(f"{ind}{ln}")
                 pend_c += cyc_i
@@ -424,12 +422,8 @@ def _codegen(blk: _Block):
             else:
                 flush()
                 emit(f"{ind}r[0] = {next_pc}")
-                if inline is not None:
-                    for ln in inline:
-                        emit(f"{ind}{ln}")
-                else:
-                    ns[f"_t{i}"] = thunk
-                    emit(f"{ind}_t{i}(r, m)")
+                for ln in inline:
+                    emit(f"{ind}{ln}")
                 emit(f"{ind}c.cycles += {cyc_i}")
                 emit(f"{ind}c.instructions += 1")
                 if may_store:
@@ -439,8 +433,7 @@ def _codegen(blk: _Block):
                     # only write handlers have side effects.  A store
                     # with a fast path checks only after a bus store.
                     g = ind
-                    if inline is not None and any(
-                            "_s = 1" in ln for ln in inline):
+                    if any("_s = 1" in ln for ln in inline):
                         emit(f"{ind}if _s:")
                         g = ind + "    "
                         emit(f"{g}_s = 0")
@@ -456,57 +449,19 @@ def _codegen(blk: _Block):
             if arm:
                 arm -= 1
                 if arm == 0:
+                    if pend_n:
+                        # the arm's batched tail never wrote the PC;
+                        # leave it at the join, as the taken path does
+                        emit(f"{ind}r[0] = {next_pc}")
                     flush()      # arm bookkeeping stays in its arm
                     ind = ind[:-4]
         if pend_n:
             emit(f"{ind}r[0] = {blk.end_pc}")
             flush()
     src = "\n".join(lines) + "\n"
+    ns = {"__builtins__": {}}
     exec(compile(src, f"<superblock@0x{blk.start:04X}>", "exec"), ns)
     return ns["_fn"]
-
-
-def _interp_block(c, blk: _Block, r, m) -> None:
-    """Tier-0 executor: walk a block's steps one thunk at a time.
-
-    Architecturally identical to the codegen'd function — same thunks,
-    same per-instruction bookkeeping, same store-boundary checks — so
-    a block's first dispatches can run without paying ``compile()``;
-    ``run`` tiers the block up to generated code once it proves hot.
-    Jumps execute via their thunks: a taken jump moves ``r[0]`` off
-    the recorded fallthrough, which steers the walk (skip the diamond
-    arm / return early) exactly like the inline conditions in
-    generated code.
-    """
-    steps = blk.steps
-    _v = c._code_version
-    i = 0
-    n = len(steps)
-    while i < n:
-        s = steps[i]
-        np = s[1]
-        r[0] = np
-        s[2](r, m)
-        c.cycles += s[3]
-        c.instructions += 1
-        info = s[5]
-        if info is not None:
-            if r[0] != np:                # jump taken
-                if info[0] == "skip":
-                    i += info[2] + 1      # hop over the skipped arm
-                    continue
-                return                    # early exit
-        elif s[4]:                        # store boundary: exact checks
-            if c.halted:
-                return
-            f = c._pending_fault
-            if f is not None:
-                c._pending_fault = None
-                raise f
-            if (c._code_version != _v or m._perm_stale
-                    or c.trace_hook is not None or m._observers):
-                return
-        i += 1
 
 
 class Cpu:
@@ -533,8 +488,8 @@ class Cpu:
         # Any memory write invalidates the entries it touches (so
         # self-modifying code and re-loads stay correct); firmware
         # never self-modifies, so in practice every instruction decodes
-        # once.  Entries: pc -> (insn, size, cycles, thunk) where
-        # thunk is a specialized closure or None (generic handler).
+        # once.  Entries: pc -> (insn, size, cycles); ``step()``
+        # executes ``insn`` through its per-opcode handler.
         # Entries are device-agnostic, so they can be published to and
         # pulled from the shared execution cache.
         self._icache: dict = {}
@@ -546,7 +501,7 @@ class Cpu:
         #: blocks may be private or pulled from the shared cache)
         self._blocks: Dict[int, _Block] = {}
         #: entry PCs where compilation declined (first instruction has
-        #: no thunk, hits an I/O port, or the run is too short) — a
+        #: no inline form, or a permission edge) — a
         #: negative cache so ``run`` doesn't retry every iteration.
         #: Never shared: some verdicts depend on this device's MPU
         #: permission edges, not on code bytes.
@@ -802,7 +757,8 @@ class Cpu:
 
     # -- execution ------------------------------------------------------------
     def step(self) -> Instruction:
-        """Execute one instruction; returns it (for tracing)."""
+        """Execute one instruction through its per-opcode handler (the
+        reference interpreter); returns it (for tracing)."""
         memory = self.memory
         r = self.regs._regs
         pc = r[0]
@@ -814,11 +770,9 @@ class Cpu:
             if entry is None:
                 insn, size = decode(memory.fetch_word, pc)
                 insn_cycles = cyc.instruction_cycles(insn)
-                thunk = _specialize(insn)
-                self._install_entry(
-                    pc, (insn, size, insn_cycles, thunk))
+                self._install_entry(pc, (insn, size, insn_cycles))
             else:
-                insn, size, insn_cycles, thunk = entry
+                insn, size, insn_cycles = entry
                 # the decode is cached (or pulled from the shared
                 # store), but execute *permission* must be
                 # re-validated — the MPU config changes between
@@ -849,10 +803,7 @@ class Cpu:
         if self.trace_hook is not None:
             self.trace_hook(pc, insn)
         try:
-            if thunk is not None:
-                thunk(r, memory)
-            else:
-                self._dispatch[insn.opcode](insn)
+            self._dispatch[insn.opcode](insn)
         except MpuViolationError as exc:
             raise CpuFault(FaultKind.MPU_VIOLATION, pc, exc.address,
                            exc.kind) from exc
@@ -925,54 +876,6 @@ class Cpu:
                                 blk.perm_ok = perm
                             else:
                                 break        # step() raises the fault
-                        if blk.fn is None:
-                            if blk.execs < 2:
-                                # tier 0: interpret the steps; blocks
-                                # executed once or twice never pay
-                                # compile()
-                                blk.execs += 1
-                                if (self.cycles + blk.cycles
-                                        > cycle_limit
-                                        or (insn_limit is not None
-                                            and self.instructions
-                                            + blk.count > insn_limit)):
-                                    break    # budget: step() raises
-                                try:
-                                    _interp_block(self, blk, regs,
-                                                  memory)
-                                except MpuViolationError as exc:
-                                    raise CpuFault(
-                                        FaultKind.MPU_VIOLATION,
-                                        blk.pc_map[regs[0]],
-                                        exc.address, exc.kind) from exc
-                                except MemoryAccessError as exc:
-                                    raise CpuFault(
-                                        FaultKind.BUS_ERROR,
-                                        blk.pc_map[regs[0]],
-                                        exc.address, exc.kind) from exc
-                                if (self.halted
-                                        or self._pending_fault
-                                        is not None
-                                        or self.trace_hook is not None
-                                        or memory._observers):
-                                    break
-                                if memory._perm_stale:
-                                    memory._refresh_permissions()
-                                    perm = memory._perm
-                                    if perm is None:
-                                        break
-                                continue
-                            proto = blk.proto
-                            if proto is not None \
-                                    and proto.fn is not None:
-                                blk.fn = proto.fn
-                            else:
-                                # a runtime-helper loop runs its native
-                                # model, anything else generated code
-                                blk.fn = (intrinsic_for(blk)
-                                          or _codegen(blk))
-                                if proto is not None:
-                                    proto.fn = blk.fn
                         if blk.loop:
                             iters = ((cycle_limit - self.cycles)
                                      // blk.cycles)
@@ -1097,14 +1000,17 @@ class Cpu:
 
     # -- superblock compilation and execution -------------------------------
     def _compile_block(self, pc: int) -> Optional[_Block]:
-        """Chain decoded thunks from ``pc`` into a superblock, or mark
-        ``pc`` uncompilable.  Straight-line only: a jump ends the block
-        (inclusive); a call/return/unthunked instruction, an absolute
-        operand on a registered I/O port (kernel gates, MPU registers,
-        the cycle timer), or a non-executable byte ends it exclusive.
-        All fetches run under ``supervisor`` after probing the
-        permission bitmap, so speculative compilation has no
-        architecturally visible side effects (no MPU violation flags).
+        """Chain decoded instructions from ``pc`` into a superblock, or
+        mark ``pc`` uncompilable.  Only instructions that
+        :func:`_inline_step` gives source lines join a block; the first
+        one without (call through memory, return from interrupt, DADD,
+        a rare operand shape) ends it exclusive and runs in ``step()``,
+        as does a non-executable byte.  A jump, a PC write, or an
+        absolute operand on a registered I/O port (kernel gates, MPU
+        registers, the cycle timer) ends it inclusive.  All fetches run
+        under ``supervisor`` after probing the permission bitmap, so
+        speculative compilation has no architecturally visible side
+        effects (no MPU violation flags).
         """
         memory = self.memory
         shared = self._shared
@@ -1152,9 +1058,9 @@ class Cpu:
                     # structured skip with the arm's exact size
                     arm = steps[di + 1:]
                     p = steps[di]
-                    steps[di] = (p[0], p[1], p[2], p[3], p[4],
-                                 ("skip", p[5][1], len(arm),
-                                  sum(s[3] for s in arm), len(arm),
+                    steps[di] = (p[0], p[1], p[2], p[3],
+                                 ("skip", p[4][1], len(arm),
+                                  sum(s[2] for s in arm), len(arm),
                                   join_pc), None)
                     diamond = None
                 elif cursor > join_pc:
@@ -1172,13 +1078,15 @@ class Cpu:
                 except (DecodeError, MemoryAccessError):
                     break
                 insn_cycles = cyc.instruction_cycles(insn)
-                thunk = _specialize(insn)
-                entry = (insn, size, insn_cycles, thunk)
+                entry = (insn, size, insn_cycles)
                 self._install_entry(cursor, entry)
             else:
-                insn, size, insn_cycles, thunk = entry
-            if thunk is None:         # call/return/rare shape: step()
-                break
+                insn, size, insn_cycles = entry
+            opcode = insn.opcode
+            is_jump = opcode in _JUMP_OPCODES
+            inline = None if is_jump else _inline_step(insn)
+            if inline is None and not is_jump:
+                break            # no fast form: step() runs it
             last = cursor + size - 1
             if last > 0xFFFF or not perm[last] & PERM_X:
                 break
@@ -1191,15 +1099,13 @@ class Cpu:
                 # halt/pending-fault check suite right after the
                 # access, and ending the block here hands control back
                 # to ``run``'s guard re-checks — exactly the boundary
-                # ``step()`` would give.  (Syscall gates and timer
-                # polls dominate the step fallback otherwise.)
+                # ``step()`` would give.  (Its port access itself goes
+                # through the bus: the fast map never marks a port.)
                 pure = False
-                steps.append((cursor, next_pc, thunk, insn_cycles,
-                              True, None, None))
+                steps.append((cursor, next_pc, insn_cycles, True, None,
+                              inline))
                 end = cursor + size
                 break
-            opcode = insn.opcode
-            is_jump = opcode in _JUMP_OPCODES
             # PUSH and CALL store through SP even though dst is None;
             # CMP and BIT only *read* their memory destination, so
             # they never need the post-store check suite
@@ -1230,71 +1136,71 @@ class Cpu:
                     pure = False
             if is_jump:
                 target = (next_pc + 2 * insn.offset) & 0xFFFF
-                if opcode is not Opcode.JMP and diamond is None:
-                    if pure and target == pc:
-                        # back-edge to the block's own start: close as
-                        # an in-place loop (the generated function
-                        # iterates until the jump falls through or the
-                        # budget share is spent)
-                        steps.append((cursor, next_pc, thunk,
-                                      insn_cycles, False, None, None))
-                        end = cursor + size
-                        loop = True
-                        break
-                    if (target > next_pc
-                            and len(steps) + 1 < _MAX_BLOCK_INSNS):
-                        # forward skip: tentatively keep compiling the
-                        # fallthrough as the jump's arm; resolved to a
-                        # structured diamond when the target is
-                        # reached, truncated otherwise
-                        diamond = (len(steps), target)
-                        steps.append((cursor, next_pc, thunk,
-                                      insn_cycles, False,
-                                      ("open", _JUMP_CONDS[opcode]),
-                                      None))
-                        end = cursor + size
-                        cursor = next_pc
-                        continue
                 if opcode is not Opcode.JMP:
+                    cond = _JUMP_CONDS[opcode]
+                    if diamond is None:
+                        if pure and target == pc:
+                            # back-edge to the block's own start: close
+                            # as an in-place loop (the generated
+                            # function iterates until the jump falls
+                            # through or the budget share is spent)
+                            steps.append((cursor, next_pc, insn_cycles,
+                                          False, None,
+                                          [f"if {cond}: r[0] = {target}"]))
+                            end = cursor + size
+                            loop = True
+                            break
+                        if (target > next_pc
+                                and len(steps) + 1 < _MAX_BLOCK_INSNS):
+                            # forward skip: tentatively keep compiling
+                            # the fallthrough as the jump's arm;
+                            # resolved to a structured diamond when the
+                            # target is reached, truncated otherwise
+                            diamond = (len(steps), target)
+                            steps.append((cursor, next_pc, insn_cycles,
+                                          False, ("open", cond, target),
+                                          None))
+                            end = cursor + size
+                            cursor = next_pc
+                            continue
                     # backward / degenerate target (or a jump nested
                     # inside an open arm): inline early exit — taken
                     # returns with exact bookkeeping, fallthrough
                     # continues the trace
-                    steps.append((cursor, next_pc, thunk, insn_cycles,
-                                  False,
-                                  ("exit", _JUMP_CONDS[opcode],
-                                   target), None))
+                    steps.append((cursor, next_pc, insn_cycles, False,
+                                  ("exit", cond, target), None))
                     end = cursor + size
                     cursor = next_pc
                     continue
                 # unconditional JMP closes the block inclusively; the
                 # branch target is a compile-time constant
-                steps.append((cursor, next_pc, thunk, insn_cycles,
-                              False, None, [f"r[0] = {target}"]))
+                steps.append((cursor, next_pc, insn_cycles, False, None,
+                              [f"r[0] = {target}"]))
                 end = cursor + size
                 loop = pure and target == pc
                 break
-            steps.append((cursor, next_pc, thunk, insn_cycles,
-                          stores, None, _inline_step(insn)))
+            steps.append((cursor, next_pc, insn_cycles, stores, None,
+                          inline))
             end = cursor + size
             cursor = next_pc
             if writes_pc or next_pc < pc:    # redirect / wrapped
                 break
         if diamond is not None:
             # the trace ended before the forward jump's target: drop
-            # the tentative arm and keep the jump as a plain final
-            # step (its thunk performs the branch)
+            # the tentative arm and close the block with the jump
             di = diamond[0]
             p = steps[di]
+            _, cond, target = p[4]
             del steps[di + 1:]
-            steps[di] = (p[0], p[1], p[2], p[3], p[4], None, None)
+            steps[di] = (p[0], p[1], p[2], p[3], None,
+                         [f"if {cond}: r[0] = {target}"])
             end = p[0] + 2      # jump instructions are 2 bytes
             loop = False
         mask = self._code_pages
         if not steps:
-            # nothing compilable at this pc (unthunked shape, I/O
-            # port, or permission edge); remember the verdict and
-            # index it so code writes re-enable compilation.  Even a
+            # nothing compilable at this pc (no inline form, or a
+            # permission edge); remember the verdict and index it so
+            # code writes re-enable compilation.  Even a
             # single-instruction block beats the step() fallback: the
             # tight dispatch loop skips the per-step guard checks.
             self._no_block.add(pc)
@@ -1302,9 +1208,9 @@ class Cpu:
                 self._block_pages.setdefault(page, set()).add(pc)
                 mask[page] = 1
             return None
-        blk = _Block(pc, end, steps[-1][1], tuple(steps), pure, loop)
+        blk = _Block(pc, end, tuple(steps), pure, loop,
+                     bytes(memory._bytes[pc:end]))
         blk.perm_ok = perm     # every byte was execute-probed above
-        blk.code = bytes(memory._bytes[pc:end])
         self._blocks[pc] = blk
         for page in range(pc >> 6, (end - 1 >> 6) + 1):
             self._block_pages.setdefault(page, set()).add(pc)
@@ -1549,261 +1455,38 @@ class Cpu:
         self._store(register, address, out, byte)
 
 
-# -- specialized execution thunks -------------------------------------------
+# -- inline instruction forms -------------------------------------------------
 #
-# For the hottest instruction shapes — ALU ops on registers/immediates,
-# all jumps, and the dominant MOV/ADD memory forms — the icache entry
-# carries a closure that performs the whole instruction on the raw
-# register list (and the bus, for the memory forms): no Operand
-# re-interpretation, no property lookups, no flag-helper calls.
-# Shapes with a PC/SP/SR/CG2 destination or a rare opcode keep
-# ``thunk=None`` and go through the generic per-opcode handler;
-# semantics are identical either way, including fault behaviour
-# (memory thunks run inside the same try/except in ``step``).
+# The superblock code generator's one way to execute an instruction:
+# source lines that run it directly on the raw register list ``r`` and
+# the bus ``m``.  ``step()`` never runs these lines — it executes every
+# instruction through the per-opcode ``_op_*`` handlers above — so the
+# block-vs-step differential tests compare two independent writings of
+# each instruction's semantics.
 
 _SRM = 0xFEF8            # SR with C, Z, N, V cleared
-
-
-def _spec_jump(opcode: Opcode, offset: int):
-    d = 2 * offset        # applied after the pc += size in step()
-    if opcode is Opcode.JMP:
-        def thunk(r, m, d=d):
-            r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JNE:
-        def thunk(r, m, d=d):
-            if not r[2] & 2:
-                r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JEQ:
-        def thunk(r, m, d=d):
-            if r[2] & 2:
-                r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JNC:
-        def thunk(r, m, d=d):
-            if not r[2] & 1:
-                r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JC:
-        def thunk(r, m, d=d):
-            if r[2] & 1:
-                r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JN:
-        def thunk(r, m, d=d):
-            if r[2] & 4:
-                r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JGE:
-        def thunk(r, m, d=d):
-            sr = r[2]
-            if not ((sr >> 2) ^ (sr >> 8)) & 1:     # N == V
-                r[0] = (r[0] + d) & 0xFFFF
-    else:                                           # JL
-        def thunk(r, m, d=d):
-            sr = r[2]
-            if ((sr >> 2) ^ (sr >> 8)) & 1:         # N != V
-                r[0] = (r[0] + d) & 0xFFFF
-    return thunk
-
-
-def _th_mov(s, k, d, mask, sign):
-    if s < 0:
-        def thunk(r, m, k=k, d=d):
-            r[d] = k
-    else:
-        def thunk(r, m, s=s, d=d, mask=mask):
-            r[d] = r[s] & mask
-    return thunk
-
-
-def _make_addsub(subtract: bool, use_carry: bool, store: bool):
-    """ADD/ADDC/SUB/SUBC/CMP share one arithmetic skeleton."""
-    def factory(s, k, d, mask, sign):
-        def thunk(r, m, s=s, k=k, d=d, mask=mask, sign=sign):
-            if s >= 0:
-                k = r[s] & mask
-            dst = r[d] & mask
-            if subtract:
-                result = dst + ((~k) & mask) \
-                    + ((r[2] & 1) if use_carry else 1)
-                ovf = (dst ^ k) & (dst ^ (result & mask)) & sign
-            else:
-                result = dst + k + ((r[2] & 1) if use_carry else 0)
-                ovf = ~(k ^ dst) & (k ^ (result & mask)) & sign
-            out = result & mask
-            sr = r[2] & _SRM
-            if result > mask:
-                sr |= 1                              # C
-            if out & sign:
-                sr |= 4                              # N
-            elif out == 0:
-                sr |= 2                              # Z
-            if ovf:
-                sr |= 0x100                          # V
-            r[2] = sr
-            if store:
-                r[d] = out
-        return thunk
-    return factory
-
-
-def _make_logic(op: str, store: bool):
-    """AND/BIT/XOR (flag-setting) and BIS/BIC (flag-preserving)."""
-    def factory(s, k, d, mask, sign):
-        def thunk(r, m, s=s, k=k, d=d, mask=mask, sign=sign):
-            if s >= 0:
-                k = r[s] & mask
-            dst = r[d] & mask
-            if op == "and":
-                out = dst & k
-            elif op == "xor":
-                out = dst ^ k
-            elif op == "bis":
-                r[d] = dst | k
-                return
-            else:                                    # bic
-                r[d] = dst & ((~k) & mask)
-                return
-            sr = r[2] & _SRM
-            if out:
-                sr |= 1                              # C = result != 0
-            if out & sign:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            if op == "xor" and k & sign and dst & sign:
-                sr |= 0x100
-            r[2] = sr
-            if store:
-                r[d] = out
-        return thunk
-    return factory
-
-
-_FMT1_FACTORIES = {
-    Opcode.MOV: _th_mov,
-    Opcode.ADD: _make_addsub(subtract=False, use_carry=False, store=True),
-    Opcode.ADDC: _make_addsub(subtract=False, use_carry=True, store=True),
-    Opcode.SUB: _make_addsub(subtract=True, use_carry=False, store=True),
-    Opcode.SUBC: _make_addsub(subtract=True, use_carry=True, store=True),
-    Opcode.CMP: _make_addsub(subtract=True, use_carry=False, store=False),
-    Opcode.AND: _make_logic("and", store=True),
-    Opcode.BIT: _make_logic("and", store=False),
-    Opcode.XOR: _make_logic("xor", store=True),
-    Opcode.BIS: _make_logic("bis", store=True),
-    Opcode.BIC: _make_logic("bic", store=True),
-}
-
-
-def _spec_format2(insn: Instruction):
-    opcode = insn.opcode
-    src = insn.src
-    if src is None:
-        return None
-    if opcode is Opcode.PUSH:
-        # SP is decremented *before* the store (hardware order), so a
-        # faulting push leaves SP moved — same as the generic handler.
-        # PUSH.B still writes a word with the value masked to 8 bits.
-        mask = 0xFF if insn.byte else 0xFFFF
-        if src.mode is _M.REGISTER:
-            s = src.register
-
-            def thunk(r, m, s=s, mask=mask):
-                r[1] = sp = (r[1] - 2) & 0xFFFF
-                m.write_word(sp, r[s] & mask)
-            return thunk
-        if src.mode is _M.IMMEDIATE:
-            k = src.value & mask
-
-            def thunk(r, m, k=k):
-                r[1] = sp = (r[1] - 2) & 0xFFFF
-                m.write_word(sp, k)
-            return thunk
-        return None
-    if opcode is Opcode.CALL:
-        # target is evaluated before the push; PC writes are forced
-        # even (RegisterFile semantics)
-        if src.mode is _M.IMMEDIATE:
-            t = src.value & 0xFFFE
-
-            def thunk(r, m, t=t):
-                r[1] = sp = (r[1] - 2) & 0xFFFF
-                m.write_word(sp, r[0])
-                r[0] = t
-            return thunk
-        if src.mode is _M.REGISTER:
-            s = src.register
-
-            def thunk(r, m, s=s):
-                t = r[s] & 0xFFFE
-                r[1] = sp = (r[1] - 2) & 0xFFFF
-                m.write_word(sp, r[0])
-                r[0] = t
-            return thunk
-        return None
-    if src.mode is not _M.REGISTER or src.register < 4:
-        return None
-    byte = insn.byte
-    mask = 0xFF if byte else 0xFFFF
-    sign = 0x80 if byte else 0x8000
-    d = src.register
-    if opcode is Opcode.RRA:
-        def thunk(r, m, d=d, mask=mask, sign=sign):
-            v = r[d] & mask
-            out = (v >> 1) | (v & sign)
-            sr = r[2] & _SRM
-            if v & 1:
-                sr |= 1
-            if out & sign:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            r[2] = sr
-            r[d] = out
-        return thunk
-    if opcode is Opcode.RRC:
-        def thunk(r, m, d=d, mask=mask, sign=sign):
-            v = r[d] & mask
-            out = (v >> 1) | (sign if r[2] & 1 else 0)
-            sr = r[2] & _SRM
-            if v & 1:
-                sr |= 1
-            if out & sign:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            r[2] = sr
-            r[d] = out
-        return thunk
-    if opcode is Opcode.SWPB and not byte:
-        def thunk(r, m, d=d):
-            v = r[d]
-            r[d] = ((v << 8) | (v >> 8)) & 0xFFFF
-        return thunk
-    if opcode is Opcode.SXT and not byte:
-        def thunk(r, m, d=d):
-            out = r[d] & 0xFF
-            if out & 0x80:
-                out |= 0xFF00
-            sr = r[2] & _SRM
-            if out:
-                sr |= 1
-            if out & 0x8000:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            r[2] = sr
-            r[d] = out
-        return thunk
-    return None
-
 
 _JUMP_OPCODES = frozenset((
     Opcode.JMP, Opcode.JNE, Opcode.JEQ, Opcode.JNC,
     Opcode.JC, Opcode.JN, Opcode.JGE, Opcode.JL,
 ))
 
-
 _ADDSUB_OPS = frozenset((Opcode.ADD, Opcode.ADDC, Opcode.SUB,
                          Opcode.SUBC, Opcode.CMP))
 _SUB_OPS = frozenset((Opcode.SUB, Opcode.SUBC, Opcode.CMP))
 _CARRY_OPS = frozenset((Opcode.ADDC, Opcode.SUBC))
+
+#: taken-condition expression per conditional jump, over the live SR
+#: in ``r[2]``
+_JUMP_CONDS = {
+    Opcode.JNE: "not r[2] & 2",
+    Opcode.JEQ: "r[2] & 2",
+    Opcode.JNC: "not r[2] & 1",
+    Opcode.JC: "r[2] & 1",
+    Opcode.JN: "r[2] & 4",
+    Opcode.JGE: "not ((r[2] >> 2) ^ (r[2] >> 8)) & 1",
+    Opcode.JL: "((r[2] >> 2) ^ (r[2] >> 8)) & 1",
+}
 
 
 def _granule(a: str) -> str:
@@ -1840,25 +1523,61 @@ def _st(a: str, v: str) -> list:
             "    _s = 1"]
 
 
+def _addsub(opcode: Opcode, kx: str, const: Optional[int], mask: int,
+            sign: int) -> list:
+    """ADD/ADDC/SUB/SUBC/CMP of the source ``kx`` (a local holding the
+    masked source, or the masked constant ``const`` as text) and the
+    masked destination in ``_id``: the result in ``_io``, the flags in
+    ``r[2]`` (C from the unmasked sum; for a subtraction C means no
+    borrow)."""
+    if opcode in _SUB_OPS:
+        if opcode in _CARRY_OPS:
+            inv = f"(~{kx} & {mask})" if const is None \
+                else str(~const & mask)
+            lines = [f"_ix = _id + {inv} + (r[2] & 1)"]
+        elif const is None:
+            lines = [f"_ix = _id + (~{kx} & {mask}) + 1"]
+        else:
+            lines = [f"_ix = _id + {(~const & mask) + 1}"]
+        ovf = f"(_id ^ {kx}) & (_id ^ _io) & {sign}"
+    else:
+        carry = " + (r[2] & 1)" if opcode in _CARRY_OPS else ""
+        lines = [f"_ix = _id + {kx}{carry}"]
+        ovf = f"~({kx} ^ _id) & ({kx} ^ _io) & {sign}"
+    return lines + [f"_io = _ix & {mask}",
+                    f"_isr = r[2] & {_SRM}",
+                    f"if _ix > {mask}: _isr |= 1",
+                    f"if _io & {sign}: _isr |= 4",
+                    "elif _io == 0: _isr |= 2",
+                    f"if {ovf}: _isr |= 0x100",
+                    "r[2] = _isr"]
+
+
 def _inline_mov_mem_to_reg(src: Operand, d: int, byte: bool):
-    """Inline twin of :func:`_spec_mov_mem_to_reg` (same modes, same
-    read/increment order)."""
+    """MOV from memory into register ``d``: a general register, or SP
+    for a word (the write forces bit 0 clear, like
+    ``RegisterFile.write``).  An autoincrement reads first and bumps
+    the pointer second, so a faulting read leaves it untouched."""
     if byte:
         amask, load = 0xFFFF, lambda a: f"m.read_byte({a})"
     else:                     # the bus ignores bit 0 of a word address
         amask, load = 0xFFFE, _ld
+    even = " & 0xFFFE" if d == 1 else ""
     sm = src.mode
     if sm is _M.INDEXED:
         return [f"_ia = (r[{src.register}] + {src.value}) & {amask}",
-                f"r[{d}] = {load('_ia')}"]
+                f"r[{d}] = {load('_ia')}{even}"]
     if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        return [f"r[{d}] = {load(str(src.value & amask))}"]
+        return [f"r[{d}] = {load(str(src.value & amask))}{even}"]
+    if d == 1:
+        return None           # stack switches use &x or x(Rn)
     if sm is _M.INDIRECT:
         return [f"_ia = r[{src.register}] & {amask}",
                 f"r[{d}] = {load('_ia')}"]
-    if sm is _M.AUTOINCREMENT and src.register >= 1:
-        # read first, increment second — a faulting read leaves the
-        # pointer untouched, exactly like the thunk
+    if sm is _M.AUTOINCREMENT and (src.register >= 4
+                                   or src.register == 1 and not byte):
+        # POP Rn is ``MOV @SP+, Rn``; ``.B @SP+`` is left to step(),
+        # whose SP write keeps bit 0 clear
         s = src.register
         return [f"_ia = r[{s}]",
                 f"_ib = _ia & {amask}",
@@ -1869,8 +1588,8 @@ def _inline_mov_mem_to_reg(src: Operand, d: int, byte: bool):
 
 
 def _inline_mov_to_pc(src: Operand):
-    """Inline twin of :func:`_spec_mov_to_pc` (BR #imm / BR Rn / RET):
-    PC writes forced even, pop reads before it bumps SP."""
+    """Word MOV into PC (BR #imm / BR Rn / RET and the memory forms):
+    PC writes forced even, a pop reads before it bumps SP."""
     sm = src.mode
     if sm is _M.IMMEDIATE:
         return [f"r[0] = {src.value & 0xFFFE}"]
@@ -1895,9 +1614,9 @@ def _inline_mov_to_pc(src: Operand):
 
 
 def _inline_mem_dst(insn: Instruction):
-    """Inline twins of :func:`_spec_mov_to_mem` and
-    :func:`_spec_add_to_mem` — register/immediate source into indexed
-    or absolute memory."""
+    """Register/immediate source into indexed or absolute memory: MOV,
+    word ADD (the global-counter increment idiom) and CMP (the
+    poll-a-variable idiom; flags only, no write-back)."""
     src, dst = insn.src, insn.dst
     byte = insn.byte
     mask = 0xFF if byte else 0xFFFF
@@ -1924,40 +1643,37 @@ def _inline_mem_dst(insn: Instruction):
             val = f"r[{s}] & 0xFF" if s >= 0 else str(k)
             return lines + [f"m.write_byte({ia}, {val})"]
         return lines + _st(ia, f"r[{s}]" if s >= 0 else str(k))
-    if opcode is Opcode.ADD and not byte:
-        if s >= 0:
-            lines.append(f"_ik = r[{s}]")
-            kx = "_ik"
-        else:
-            kx = str(k)
-        lines += [f"_id = {_ld(ia)}",
-                  f"_ix = _id + {kx}",
-                  "_io = _ix & 0xFFFF",
-                  f"_isr = r[2] & {_SRM}",
-                  "if _ix > 0xFFFF: _isr |= 1",
-                  "if _io & 0x8000: _isr |= 4",
-                  "elif _io == 0: _isr |= 2",
-                  f"if ~({kx} ^ _id) & ({kx} ^ _io) & 0x8000:"
-                  " _isr |= 0x100",
-                  "r[2] = _isr"]
-        return lines + _st(ia, "_io")
-    return None
+    if not (opcode is Opcode.CMP or opcode is Opcode.ADD and not byte):
+        return None
+    if s >= 0:
+        lines.append(f"_ik = r[{s}] & {mask}")
+        kx, const = "_ik", None
+    else:
+        kx, const = str(k), k
+    load = f"m.read_byte({ia})" if byte else _ld(ia)
+    lines.append(f"_id = {load}")
+    lines += _addsub(opcode, kx, const, mask, 0x80 if byte else 0x8000)
+    if opcode is Opcode.ADD:
+        lines += _st(ia, "_io")
+    return lines
 
 
 def _inline_step(insn: Instruction):
     """Source lines executing ``insn`` directly on the raw register
-    list — the codegen twin of the thunk skeletons above (identical
-    arithmetic, flag updates, and memory-access order, with the
-    thunk's Python call frame compiled away).  Covers the
-    register/immediate ALU shapes plus the hot memory shapes (PUSH,
-    CALL, MOV to/from memory, ADD into memory).  Word accesses take
-    the inline fast path of :func:`_ld`/:func:`_st` and fall back to
-    the ``m.read_word``/``m.write_word`` bus methods for anything but
+    list, or None when the superblock compiler has no inline form for
+    it (a block then ends before it and ``step()`` runs it).  Covers
+    the register/immediate ALU shapes (including the stack adjusts and
+    flag twiddling firmware does on SP and SR) plus the hot memory
+    shapes: PUSH, CALL, MOV to and from memory, ADD and CMP into
+    memory, BR/RET.  Block-closing jumps get their lines from the
+    compiler itself.  Word accesses take the inline fast path of
+    :func:`_ld`/:func:`_st` and fall back to the
+    ``m.read_word``/``m.write_word`` bus methods for anything but
     plain RAM; byte accesses always call the bus.  Either way
     permissions, I/O dispatch and invalidation behave exactly as in
-    the thunk.  Returns None for any shape that keeps its thunk call.
-    Temporaries use the ``_i*`` prefix so they never collide with the
-    block executors' own locals.
+    the ``_op_*`` handlers, and so do the operand evaluation order and
+    the flag updates.  Temporaries use the ``_i*`` prefix so they
+    never collide with the block executors' own locals.
     """
     opcode = insn.opcode
     if opcode in _JUMP_OPCODES:
@@ -1969,16 +1685,19 @@ def _inline_step(insn: Instruction):
     src = insn.src
     if dst is None:                       # format 2, register operand
         if opcode is Opcode.PUSH and src is not None:
-            # SP moves before the store, exactly like the thunk: a
-            # faulting push leaves SP decremented.  SP is always even,
-            # so it is a valid fast-path address.
-            push = ["_ia = r[1] = (r[1] - 2) & 0xFFFF"]
+            # the source is read before SP moves (``PUSH SP`` pushes
+            # the old SP), and SP moves before the store: a faulting
+            # push leaves SP decremented.  SP is always even, so it is
+            # a valid fast-path address.
             if src.mode is _M.REGISTER:
-                return push + [f"_iw = r[{src.register}] & {mask}"] \
-                    + _st("_ia", "_iw")
-            if src.mode is _M.IMMEDIATE:
-                return push + _st("_ia", str(src.value & mask))
-            return None
+                val = f"r[{src.register}] & {mask}"
+            elif src.mode is _M.IMMEDIATE:
+                val = str(src.value & mask)
+            else:
+                return None
+            return [f"_iw = {val}",
+                    "_ia = r[1] = (r[1] - 2) & 0xFFFF"] \
+                + _st("_ia", "_iw")
         if opcode is Opcode.CALL and src is not None:
             # target evaluated before the push; the pushed return
             # address is the deferred PC (r[0] == next_pc here)
@@ -2026,11 +1745,20 @@ def _inline_step(insn: Instruction):
         return None
     if dst.mode is not _M.REGISTER:
         return _inline_mem_dst(insn)      # memory destination
-    if dst.register == 0 and opcode is Opcode.MOV and not byte:
-        return _inline_mov_to_pc(src)     # BR / RET shapes
-    if dst.register < 4:
-        return None                       # SP/SR/CG2 destination
     d = dst.register
+    if d < 4:
+        # PC, SP and SR: the word shapes firmware uses — BR/RET, stack
+        # adjusts and switches, flag twiddling
+        if byte or d == 3:
+            return None
+        if d == 0:
+            return _inline_mov_to_pc(src) if opcode is Opcode.MOV \
+                else None
+        if d == 1 and opcode not in (Opcode.MOV, Opcode.ADD,
+                                     Opcode.SUB):
+            return None
+        if d == 2 and opcode not in (Opcode.BIC, Opcode.BIS):
+            return None
     if src.mode is _M.REGISTER:
         const = None
         ks = f"(r[{src.register}] & {mask})"
@@ -2041,42 +1769,19 @@ def _inline_step(insn: Instruction):
         return _inline_mov_mem_to_reg(src, d, byte)
     else:
         return None                       # non-MOV memory source
+    even = " & 0xFFFE" if d == 1 else ""  # SP writes force bit 0 clear
     if opcode is Opcode.MOV:
-        return [f"r[{d}] = {ks}"]
+        return [f"r[{d}] = {ks}{even}"]
     if opcode in _ADDSUB_OPS:
-        subtract = opcode in _SUB_OPS
-        use_carry = opcode in _CARRY_OPS
         lines = [f"_id = r[{d}] & {mask}"]
         if const is None:
             lines.append(f"_ik = {ks}")
             kx = "_ik"
         else:
-            kx = str(const)
-        if subtract:
-            inv = f"(~_ik & {mask})" if const is None \
-                else str((~const) & mask)
-            if use_carry:
-                lines.append(f"_ix = _id + {inv} + (r[2] & 1)")
-            elif const is None:
-                lines.append(f"_ix = _id + {inv} + 1")
-            else:
-                lines.append(f"_ix = _id + {((~const) & mask) + 1}")
-            ovf = f"(_id ^ {kx}) & (_id ^ _io) & {sign}"
-        else:
-            if use_carry:
-                lines.append(f"_ix = _id + {kx} + (r[2] & 1)")
-            else:
-                lines.append(f"_ix = _id + {kx}")
-            ovf = f"~({kx} ^ _id) & ({kx} ^ _io) & {sign}"
-        lines += [f"_io = _ix & {mask}",
-                  f"_isr = r[2] & {_SRM}",
-                  f"if _ix > {mask}: _isr |= 1",
-                  f"if _io & {sign}: _isr |= 4",
-                  "elif _io == 0: _isr |= 2",
-                  f"if {ovf}: _isr |= 0x100",
-                  "r[2] = _isr"]
+            kx = ks
+        lines += _addsub(opcode, kx, const, mask, sign)
         if opcode is not Opcode.CMP:
-            lines.append(f"r[{d}] = _io")
+            lines.append(f"r[{d}] = _io{even}")
         return lines
     if opcode is Opcode.BIS:
         return [f"r[{d}] = (r[{d}] & {mask}) | {ks}"]
@@ -2090,7 +1795,7 @@ def _inline_step(insn: Instruction):
             lines.append(f"_ik = {ks}")
             kx = "_ik"
         else:
-            kx = str(const)
+            kx = ks
         op = "^" if opcode is Opcode.XOR else "&"
         lines += [f"_io = _id {op} {kx}",
                   f"_isr = r[2] & {_SRM}",
@@ -2107,394 +1812,15 @@ def _inline_step(insn: Instruction):
     return None
 
 
-#: taken-condition expression per conditional jump, over the live SR
-#: in ``r[2]`` — the exact tests _spec_jump compiles into its thunks.
-#: Used to inline mid-trace jumps into generated block code.
-_JUMP_CONDS = {
-    Opcode.JNE: "not r[2] & 2",
-    Opcode.JEQ: "r[2] & 2",
-    Opcode.JNC: "not r[2] & 1",
-    Opcode.JC: "r[2] & 1",
-    Opcode.JN: "r[2] & 4",
-    Opcode.JGE: "not ((r[2] >> 2) ^ (r[2] >> 8)) & 1",
-    Opcode.JL: "((r[2] >> 2) ^ (r[2] >> 8)) & 1",
-}
-
-
 def _hits_io(op: Optional[Operand], io_ports: frozenset) -> bool:
     """Does this operand statically address a registered I/O port?
-    Used by the superblock compiler to terminate blocks at kernel
-    gates, MPU registers, and timer reads — those instructions always
-    execute through ``step()``.  (I/O is word-registered, so compare
-    the word-aligned address, matching the bus's dispatch.)"""
+    Used by the superblock compiler to end blocks at kernel gates, MPU
+    registers, and timer reads, so ``run`` re-checks its guards right
+    after every port access.  (I/O is word-registered, so compare the
+    word-aligned address, matching the bus's dispatch.)"""
     return (op is not None
             and (op.mode is _M.ABSOLUTE or op.mode is _M.SYMBOLIC)
             and (op.value & 0xFFFE) in io_ports)
-
-
-def _spec_mov_mem_to_reg(src: Operand, d: int, byte: bool):
-    """MOV with a memory-mode source into a general register."""
-    sm = src.mode
-    if sm is _M.INDEXED:
-        s, off = src.register, src.value
-        if byte:
-            def thunk(r, m, s=s, off=off, d=d):
-                r[d] = m.read_byte((r[s] + off) & 0xFFFF)
-        else:
-            def thunk(r, m, s=s, off=off, d=d):
-                r[d] = m.read_word((r[s] + off) & 0xFFFF)
-        return thunk
-    if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        a = src.value & 0xFFFF
-        if byte:
-            def thunk(r, m, a=a, d=d):
-                r[d] = m.read_byte(a)
-        else:
-            def thunk(r, m, a=a, d=d):
-                r[d] = m.read_word(a)
-        return thunk
-    if sm is _M.INDIRECT:
-        s = src.register
-        if byte:
-            def thunk(r, m, s=s, d=d):
-                r[d] = m.read_byte(r[s])
-        else:
-            def thunk(r, m, s=s, d=d):
-                r[d] = m.read_word(r[s])
-        return thunk
-    if sm is _M.AUTOINCREMENT and src.register >= 1:
-        # read first, increment second — a faulting read must leave
-        # the pointer untouched, exactly like the generic path.
-        # Register 1 (SP) is allowed: POP Rn is ``MOV @SP+, Rn`` and
-        # an even SP stays even under +2.  (R0 autoincrement decodes
-        # as IMMEDIATE, R2/R3 as constant-generator immediates, so
-        # they never reach this shape.)
-        s = src.register
-        if byte:
-            def thunk(r, m, s=s, d=d):
-                a = r[s]
-                v = m.read_byte(a)
-                r[s] = (a + 1) & 0xFFFF
-                r[d] = v
-        else:
-            def thunk(r, m, s=s, d=d):
-                a = r[s]
-                v = m.read_word(a)
-                r[s] = (a + 2) & 0xFFFF
-                r[d] = v
-        return thunk
-    return None
-
-
-def _spec_mov_to_mem(s: int, k: int, dst: Operand, byte: bool):
-    """MOV from a register (s >= 0) or immediate into memory."""
-    dm = dst.mode
-    if dm is _M.INDEXED:
-        dreg, off = dst.register, dst.value
-        if byte:
-            def thunk(r, m, s=s, k=k, dreg=dreg, off=off):
-                m.write_byte((r[dreg] + off) & 0xFFFF,
-                             (r[s] & 0xFF) if s >= 0 else k)
-        else:
-            def thunk(r, m, s=s, k=k, dreg=dreg, off=off):
-                m.write_word((r[dreg] + off) & 0xFFFF,
-                             r[s] if s >= 0 else k)
-        return thunk
-    if dm is _M.ABSOLUTE or dm is _M.SYMBOLIC:
-        a = dst.value & 0xFFFF
-        if byte:
-            def thunk(r, m, s=s, k=k, a=a):
-                m.write_byte(a, (r[s] & 0xFF) if s >= 0 else k)
-        else:
-            def thunk(r, m, s=s, k=k, a=a):
-                m.write_word(a, r[s] if s >= 0 else k)
-        return thunk
-    return None
-
-
-def _spec_add_to_mem(s: int, k: int, dst: Operand):
-    """Word ADD from a register/immediate into indexed or absolute
-    memory (the global-counter increment idiom)."""
-    dm = dst.mode
-    if dm is _M.INDEXED:
-        dreg, off = dst.register, dst.value
-
-        def thunk(r, m, s=s, k=k, dreg=dreg, off=off):
-            a = (r[dreg] + off) & 0xFFFF
-            if s >= 0:
-                k = r[s]
-            dstv = m.read_word(a)
-            result = dstv + k
-            out = result & 0xFFFF
-            sr = r[2] & _SRM
-            if result > 0xFFFF:
-                sr |= 1
-            if out & 0x8000:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            if ~(k ^ dstv) & (k ^ out) & 0x8000:
-                sr |= 0x100
-            r[2] = sr
-            m.write_word(a, out)
-        return thunk
-    if dm is _M.ABSOLUTE or dm is _M.SYMBOLIC:
-        a0 = dst.value & 0xFFFF
-
-        def thunk(r, m, s=s, k=k, a=a0):
-            if s >= 0:
-                k = r[s]
-            dstv = m.read_word(a)
-            result = dstv + k
-            out = result & 0xFFFF
-            sr = r[2] & _SRM
-            if result > 0xFFFF:
-                sr |= 1
-            if out & 0x8000:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            if ~(k ^ dstv) & (k ^ out) & 0x8000:
-                sr |= 0x100
-            r[2] = sr
-            m.write_word(a, out)
-        return thunk
-    return None
-
-
-def _spec_cmp_mem(s: int, k: int, dst: Operand, byte: bool):
-    """CMP against an indexed or absolute memory destination: flags
-    only, no write-back (the poll-a-variable idiom).  The source is
-    evaluated before the destination read, like the generic handler."""
-    mask = 0xFF if byte else 0xFFFF
-    sign = 0x80 if byte else 0x8000
-    dm = dst.mode
-    if dm is _M.INDEXED:
-        dreg, off = dst.register, dst.value
-
-        def thunk(r, m, s=s, k=k, dreg=dreg, off=off,
-                  mask=mask, sign=sign, byte=byte):
-            if s >= 0:
-                k = r[s] & mask
-            a = (r[dreg] + off) & 0xFFFF
-            dstv = m.read_byte(a) if byte else m.read_word(a)
-            result = dstv + ((~k) & mask) + 1
-            out = result & mask
-            sr = r[2] & _SRM
-            if result > mask:
-                sr |= 1
-            if out & sign:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            if (dstv ^ k) & (dstv ^ out) & sign:
-                sr |= 0x100
-            r[2] = sr
-        return thunk
-    if dm is _M.ABSOLUTE or dm is _M.SYMBOLIC:
-        a0 = dst.value & 0xFFFF
-
-        def thunk(r, m, s=s, k=k, a=a0,
-                  mask=mask, sign=sign, byte=byte):
-            if s >= 0:
-                k = r[s] & mask
-            dstv = m.read_byte(a) if byte else m.read_word(a)
-            result = dstv + ((~k) & mask) + 1
-            out = result & mask
-            sr = r[2] & _SRM
-            if result > mask:
-                sr |= 1
-            if out & sign:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            if (dstv ^ k) & (dstv ^ out) & sign:
-                sr |= 0x100
-            r[2] = sr
-        return thunk
-    return None
-
-
-def _spec_sp_dest(opcode: Opcode, s: int, k: int):
-    """Word MOV/ADD/SUB into SP — the stack adjust idioms of every
-    prologue and epilogue.  Flags (for ADD/SUB) are computed from the
-    unmasked result first; the SP write forces bit 0 clear afterwards,
-    exactly like ``RegisterFile.write``."""
-    if opcode is Opcode.MOV:
-        if s < 0:
-            t = k & 0xFFFE
-
-            def thunk(r, m, t=t):
-                r[1] = t
-        else:
-            def thunk(r, m, s=s):
-                r[1] = r[s] & 0xFFFE
-        return thunk
-    subtract = opcode is Opcode.SUB
-
-    def thunk(r, m, s=s, k=k, subtract=subtract):
-        if s >= 0:
-            k = r[s]
-        dst = r[1]
-        if subtract:
-            result = dst + ((~k) & 0xFFFF) + 1
-            ovf = (dst ^ k) & (dst ^ (result & 0xFFFF)) & 0x8000
-        else:
-            result = dst + k
-            ovf = ~(k ^ dst) & (k ^ (result & 0xFFFF)) & 0x8000
-        out = result & 0xFFFF
-        sr = r[2] & _SRM
-        if result > 0xFFFF:
-            sr |= 1
-        if out & 0x8000:
-            sr |= 4
-        elif out == 0:
-            sr |= 2
-        if ovf:
-            sr |= 0x100
-        r[2] = sr
-        r[1] = out & 0xFFFE
-    return thunk
-
-
-def _spec_mov_mem_to_sp(src: Operand):
-    """Word MOV from memory into SP (stack switch in the dispatcher).
-    The SP write forces bit 0 clear, like ``RegisterFile.write``."""
-    sm = src.mode
-    if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        a = src.value & 0xFFFF
-
-        def thunk(r, m, a=a):
-            r[1] = m.read_word(a) & 0xFFFE
-        return thunk
-    if sm is _M.INDEXED:
-        sreg, off = src.register, src.value
-
-        def thunk(r, m, sreg=sreg, off=off):
-            r[1] = m.read_word((r[sreg] + off) & 0xFFFF) & 0xFFFE
-        return thunk
-    return None
-
-
-def _spec_mov_to_pc(src: Operand):
-    """Word MOV into PC: BR #imm / BR Rn / RET (``MOV @SP+, PC``).
-
-    PC writes are forced even; the autoincrement form reads before it
-    bumps the pointer, so a faulting pop leaves SP untouched — both
-    matching the generic handler exactly.
-    """
-    sm = src.mode
-    if sm is _M.IMMEDIATE:
-        t = src.value & 0xFFFE
-
-        def thunk(r, m, t=t):
-            r[0] = t
-        return thunk
-    if sm is _M.REGISTER:
-        s = src.register
-
-        def thunk(r, m, s=s):
-            r[0] = r[s] & 0xFFFE
-        return thunk
-    if sm is _M.AUTOINCREMENT:
-        s = src.register
-
-        def thunk(r, m, s=s):
-            a = r[s]
-            v = m.read_word(a)
-            r[s] = (a + 2) & 0xFFFF
-            r[0] = v & 0xFFFE
-        return thunk
-    if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        a = src.value & 0xFFFF
-
-        def thunk(r, m, a=a):
-            r[0] = m.read_word(a) & 0xFFFE
-        return thunk
-    if sm is _M.INDEXED:
-        sreg, off = src.register, src.value
-
-        def thunk(r, m, sreg=sreg, off=off):
-            r[0] = m.read_word((r[sreg] + off) & 0xFFFF) & 0xFFFE
-        return thunk
-    if sm is _M.INDIRECT:
-        s = src.register
-
-        def thunk(r, m, s=s):
-            r[0] = m.read_word(r[s]) & 0xFFFE
-        return thunk
-    return None
-
-
-def _specialize(insn: Instruction):
-    """Return a fast closure ``thunk(regs_list, memory)`` for ``insn``,
-    or None to use the generic per-opcode handler."""
-    opcode = insn.opcode
-    if opcode in _JUMP_OPCODES:
-        return _spec_jump(opcode, insn.offset)
-    dst = insn.dst
-    if dst is None:
-        return _spec_format2(insn)
-    src = insn.src
-    byte = insn.byte
-    mask = 0xFF if byte else 0xFFFF
-    if src.mode is _M.REGISTER:
-        s, k = src.register, 0
-    elif src.mode is _M.IMMEDIATE:
-        s, k = -1, src.value & mask
-    else:
-        s, k = -2, 0                                  # memory source
-    if dst.mode is _M.REGISTER:
-        if dst.register < 4:                          # PC/SP/SR/CG2
-            if opcode is Opcode.MOV and not byte and dst.register == 0:
-                return _spec_mov_to_pc(src)           # BR / RET shapes
-            if dst.register == 1 and not byte:        # stack adjusts
-                if s == -2:
-                    if opcode is Opcode.MOV:
-                        return _spec_mov_mem_to_sp(src)
-                elif opcode in (Opcode.MOV, Opcode.ADD, Opcode.SUB):
-                    return _spec_sp_dest(opcode, s, k)
-            if (dst.register == 2 and not byte and s != -2
-                    and (opcode is Opcode.BIC or opcode is Opcode.BIS)):
-                # CLRC/SETC-style flag twiddling: BIC/BIS don't update
-                # flags, so the SR write is the entire effect
-                if opcode is Opcode.BIC:
-                    if s < 0:
-                        nk = (~k) & 0xFFFF
-
-                        def thunk(r, m, nk=nk):
-                            r[2] = r[2] & nk
-                    else:
-                        def thunk(r, m, s=s):
-                            r[2] = r[2] & ~r[s] & 0xFFFF
-                else:
-                    if s < 0:
-                        def thunk(r, m, k=k):
-                            r[2] = r[2] | k
-                    else:
-                        def thunk(r, m, s=s):
-                            r[2] = (r[2] | r[s]) & 0xFFFF
-                return thunk
-            return None
-        if s == -2:
-            if opcode is Opcode.MOV:
-                return _spec_mov_mem_to_reg(src, dst.register, byte)
-            return None
-        factory = _FMT1_FACTORIES.get(opcode)
-        if factory is None:                           # DADD
-            return None
-        return factory(s, k, d=dst.register, mask=mask,
-                       sign=0x80 if byte else 0x8000)
-    # memory destination
-    if s == -2:
-        return None                                   # mem -> mem
-    if opcode is Opcode.MOV:
-        return _spec_mov_to_mem(s, k, dst, byte)
-    if opcode is Opcode.ADD and not byte:
-        return _spec_add_to_mem(s, k, dst)
-    if opcode is Opcode.CMP:
-        return _spec_cmp_mem(s, k, dst, byte)
-    return None
 
 
 #: Opcode -> Cpu handler method name; resolved to bound methods once

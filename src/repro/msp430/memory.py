@@ -531,7 +531,8 @@ class Memory:
     def read_word(self, address: int, kind: str = READ) -> int:
         # Every region and MPU boundary is at least 16-byte aligned,
         # so an even-aligned word never spans a boundary: one check
-        # covers both bytes.
+        # covers both bytes.  fetch_word repeats this body for EXECUTE:
+        # a change here must be made there too.
         address &= 0xFFFE
         if not self._supervisor_depth:
             if self._perm_stale:
@@ -577,8 +578,28 @@ class Memory:
             hook(address, value)
 
     def fetch_word(self, address: int) -> int:
-        """Instruction fetch: a word read with execute permission."""
-        return self.read_word(address, kind=EXECUTE)
+        """Instruction fetch: a word read with execute permission.
+
+        The same checks, observer notification and I/O dispatch as
+        :meth:`read_word`, on a path of its own: the decoder's fetches
+        (which happen when and where code is translated) never show up
+        as calls of ``read_word``, which then counts only the data
+        reads of executed instructions.  Keep it in step with
+        ``read_word``; ``tests/test_memory.py`` compares the two at
+        every address."""
+        address &= 0xFFFE
+        if not self._supervisor_depth:
+            if self._perm_stale:
+                self._refresh_permissions()
+            perm = self._perm
+            if perm is None or not perm[address] & PERM_X:
+                self._check_slow(address, EXECUTE)
+        if self._observers:
+            self._notify(address, EXECUTE, 2)
+        if address < self._io_rmax and address in self._io_read:
+            return self._io_read[address]() & 0xFFFF
+        data = self._bytes
+        return data[address] | (data[address + 1] << 8)
 
     # -- bulk helpers (loader) ----------------------------------------------------
     def load(self, address: int, blob: bytes) -> None:

@@ -583,31 +583,109 @@ class TestBlockStepDifferential:
         alu = [Opcode.MOV, Opcode.ADD, Opcode.SUB, Opcode.CMP,
                Opcode.AND, Opcode.BIS, Opcode.BIC, Opcode.XOR]
         fmt2 = [Opcode.RRA, Opcode.RRC, Opcode.SWPB, Opcode.SXT]
+        jcc = [Opcode.JNE, Opcode.JEQ, Opcode.JC, Opcode.JNC, Opcode.JN,
+               Opcode.JGE, Opcode.JL]
+
+        def r():
+            return reg(rng.randrange(5, 14))
+
+        def flag_use():
+            # read the flags the previous instruction left: carry-in
+            # arithmetic, or a conditional skip over one instruction
+            if rng.random() < 0.5:
+                insns.append(Instruction(
+                    rng.choice([Opcode.ADDC, Opcode.SUBC]), src=imm(0),
+                    dst=r()))
+            else:
+                insns.append(Instruction(rng.choice(jcc), offset=1))
+                insns.append(Instruction(Opcode.ADD, src=imm(1),
+                                         dst=r()))
+
         n = rng.randrange(8, 24)
         for i in range(n):
             choice = rng.random()
-            if choice < 0.45:
+            if choice < 0.3:
+                # R4 may be overwritten: later indexed traffic then hits
+                # faults, ports, unmapped memory and code bytes
                 insns.append(Instruction(
                     rng.choice(alu),
                     src=(reg(rng.randrange(4, 14))
                          if rng.random() < 0.5
                          else imm(rng.randrange(0, 0x10000))),
                     dst=reg(rng.randrange(4, 14))))
-            elif choice < 0.6:
+            elif choice < 0.38:
                 insns.append(Instruction(rng.choice(fmt2),
                                          src=reg(rng.randrange(4, 14))))
-            elif choice < 0.7:
+            elif choice < 0.44:
                 insns.append(Instruction(Opcode.PUSH,
                                          src=reg(rng.randrange(4, 14))))
-            elif choice < 0.8:
+            elif choice < 0.5:
                 # in-bounds SRAM traffic through the fixed base in R4
                 insns.append(Instruction(
-                    Opcode.MOV, src=reg(rng.randrange(5, 14)),
+                    Opcode.MOV, src=r(),
                     dst=indexed(2 * rng.randrange(0, 16), 4)))
-            elif choice < 0.9:
+            elif choice < 0.56:
                 insns.append(Instruction(
                     Opcode.MOV, src=indexed(2 * rng.randrange(0, 16), 4),
-                    dst=reg(rng.randrange(5, 14))))
+                    dst=r()))
+            elif choice < 0.62:
+                # balanced stack adjust; the SP arithmetic sets flags
+                k = 2 * rng.randrange(1, 9)
+                insns.append(Instruction(Opcode.SUB, src=imm(k),
+                                         dst=reg(1)))
+                flag_use()
+                insns.append(Instruction(Opcode.ADD, src=imm(k),
+                                         dst=reg(1)))
+                flag_use()
+            elif choice < 0.67:
+                # SP saved in a register and restored, maybe odd
+                saved = rng.randrange(5, 14)
+                insns.append(Instruction(Opcode.MOV, src=reg(1),
+                                         dst=reg(saved)))
+                insns.append(Instruction(Opcode.SUB, src=imm(6),
+                                         dst=reg(1)))
+                if rng.random() < 0.3:
+                    insns.append(Instruction(Opcode.ADD, src=imm(1),
+                                             dst=reg(saved)))
+                insns.append(Instruction(Opcode.MOV, src=reg(saved),
+                                         dst=reg(1)))
+            elif choice < 0.72:
+                # stack switch through a saved-SP word
+                slot = 2 * rng.randrange(16, 32)
+                new_sp = 0x2100 + 2 * rng.randrange(0x40) \
+                    + rng.choice((0, 0, 1))
+                insns.append(Instruction(Opcode.MOV, src=imm(new_sp),
+                                         dst=indexed(slot, 4)))
+                insns.append(Instruction(
+                    Opcode.MOV,
+                    src=(indexed(slot, 4) if rng.random() < 0.5
+                         else absolute(0x2000 + slot)),
+                    dst=reg(1)))
+                insns.append(Instruction(Opcode.PUSH, src=r()))
+            elif choice < 0.77:
+                insns.append(Instruction(
+                    rng.choice([Opcode.BIC, Opcode.BIS]),
+                    src=(imm(rng.choice([1, 2, 4, 0x100, 0x107]))
+                         if rng.random() < 0.8 else r()),
+                    dst=reg(2)))
+                flag_use()
+            elif choice < 0.85:
+                # word or byte CMP against x(R4) or &x, then a jump
+                slot = rng.randrange(0, 32)
+                insns.append(Instruction(
+                    Opcode.CMP, byte=rng.random() < 0.4,
+                    src=(r() if rng.random() < 0.5
+                         else imm(rng.randrange(0, 0x10000))),
+                    dst=(indexed(slot, 4) if rng.random() < 0.5
+                         else absolute(0x2000 + slot))))
+                insns.append(Instruction(rng.choice(jcc), offset=1))
+                insns.append(Instruction(Opcode.SUB, src=imm(1),
+                                         dst=r()))
+            elif choice < 0.9:
+                # conditional skip over DADD (no inline form): the
+                # jump ends its block
+                insns.append(Instruction(rng.choice(jcc), offset=1))
+                insns.append(Instruction(Opcode.DADD, src=r(), dst=r()))
             else:
                 # short forward jump, always in range
                 insns.append(Instruction(
@@ -637,9 +715,41 @@ class TestBlockStepDifferential:
 
     def test_differential(self):
         import random as _random
-        for seed in range(40):
+        for seed in range(200):
             rng = _random.Random(seed)
             insns = self._random_program(rng)
             got_blocks = self._execute(insns, True, seed)
             got_step = self._execute(insns, False, seed)
             assert got_blocks == got_step, f"seed {seed} diverged"
+
+
+class TestGeneratedCode:
+    """Generated superblocks are the only fast path, and they share
+    nothing with the reference interpreter: every block is generated
+    when it is built, and its function reads no globals."""
+
+    def test_real_firmware_blocks_carry_no_globals(self):
+        import dis
+
+        from repro.aft.models import IsolationModel
+        from repro.fleet.device import simulate_device
+        from repro.fleet.population import device_spec
+        from repro.msp430.intrinsics import is_intrinsic
+
+        run = simulate_device(device_spec(23, 5, rogue_fraction=1.0),
+                              IsolationModel.MPU, sim_ms=3000)
+        blocks = list(run.machine.cpu._blocks.values())
+        generated = [blk for blk in blocks if not is_intrinsic(blk.fn)]
+        assert len(generated) > 50
+        assert any(blk.pure for blk in generated)
+        assert any(not blk.pure for blk in generated)
+        for blk in generated:
+            fn = blk.fn
+            assert set(fn.__globals__) <= {"__builtins__", "_fn"}
+            assert fn.__globals__["__builtins__"] == {}
+            loads = [ins.argval for ins in dis.get_instructions(fn)
+                     if ins.opname == "LOAD_GLOBAL"]
+            assert loads == [], (hex(blk.start), loads)
+            # every step is inline source or an inline jump
+            for step in blk.steps:
+                assert (step[5] is not None) != (step[4] is not None)

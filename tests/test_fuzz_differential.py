@@ -2,6 +2,7 @@
 shrinker, corpus I/O, campaign driver and CLI."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.harness import FuzzMachine, build_image, run_differential
 from repro.fuzz.shrink import load_case, shrink_program, write_case
+from repro.ports import DONE_PORT
+
+CORPUS = Path(__file__).resolve().parent / "fuzz_corpus"
 
 
 class TestGenerator:
@@ -75,6 +79,32 @@ class TestHarness:
         assert result.outcome[1] == "BUS_ERROR"
 
 
+class TestRegressions:
+    def test_diamond_arm_ending_at_the_block_end_sets_the_pc(self):
+        """A forward-skip arm ends in batched register-only steps and
+        the block ends at the join (DADD has no inline form).  The
+        generated code must leave the PC at the join on the
+        fall-through path too; a stale PC re-ran ``SUB`` on every
+        iteration of this loop (``divergence_seed115.s`` is the
+        shrunk one-shot case)."""
+        program = FuzzProgram(seed=115, items=[
+            Item("insn", ["    MOV #6, R15"]),
+            Item("anchor", ["L0:"]),
+            Item("insn", ["    JEQ A17",
+                          "    MOV #0x6001, R4",
+                          "    MOV.B @R4+, R13",
+                          "    SUB #255, R7"]),
+            Item("anchor", ["A17:"]),
+            Item("insn", ["    DADD #32768, R9",
+                          "    DEC R15",
+                          "    JNE L0"]),
+            Item("halt", [f"    MOV #1, &0x{DONE_PORT:04X}"]),
+        ])
+        result = run_differential(program)
+        assert result.ok, result.describe()
+        assert result.outcome == ("halted",)
+
+
 class TestShrink:
     def marker_predicate(self, program):
         """Synthetic failure: the program still contains DADD."""
@@ -132,6 +162,13 @@ class TestCorpusIo:
         strip = lambda text: [line.strip() for line
                               in text.splitlines() if line.strip()]
         assert strip(loaded.body_text()) == strip(program.body_text())
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS.glob("*.s")),
+                         ids=lambda path: path.name)
+def test_corpus_case_replays_clean(case):
+    result = run_differential(load_case(case))
+    assert result.ok, result.describe()
 
 
 class TestCampaign:

@@ -87,7 +87,7 @@ class TestByteTable:
             assert blk.loop and blk.pure
             entry = INTRINSICS.get(blk.code)
             assert entry is not None, label
-            skip = [s[5] for s in blk.steps if s[5] is not None]
+            skip = [s[4] for s in blk.steps if s[4] is not None]
             assert len(skip) == 1 and skip[0][0] == "skip"
             assert entry[1:] == (blk.cycles, blk.count,
                                  skip[0][3], skip[0][4])

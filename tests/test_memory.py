@@ -1,8 +1,10 @@
 """Memory bus and region-map behaviour."""
 
+from contextlib import nullcontext
+
 import pytest
 
-from repro.errors import MemoryAccessError
+from repro.errors import MemoryAccessError, MpuViolationError
 from repro.msp430.memory import EXECUTE, Memory, MemoryMap, READ, WRITE
 
 
@@ -66,6 +68,73 @@ class TestBasicAccess:
     def test_fram_executable(self, memory):
         memory.load(0x4400, b"\x34\x12")
         assert memory.fetch_word(0x4400) == 0x1234
+
+
+class TestInstructionFetch:
+    """``fetch_word`` has its own path (so counting ``read_word``
+    counts only data reads) with exactly the behaviour of an execute
+    read: value, error, MPU violation record, observer calls, I/O
+    dispatch."""
+
+    @staticmethod
+    def _machine(mpu_on=True):
+        from repro.msp430.mpu import MPU_PASSWORD, Mpu
+        memory = Memory()
+        mpu = Mpu()
+        mpu.attach(memory)
+        memory.load(0x4400, bytes(range(256)) * 16)
+        memory.load(0x8800, b"\x03\x43" * 8)
+        memory.add_io(0x4410, read=lambda: 0xBEEF)
+        mpu._write_segb1(0, 0x0880)            # B1 = 0x8800
+        mpu._write_segb2(0, 0x0900)            # B2 = 0x9000
+        mpu._write_sam(0, 0x0735)              # seg1 R-X, seg2 RW-
+        mpu._write_ctl0(0, (MPU_PASSWORD << 8) | int(mpu_on))
+        seen = []
+        memory.add_observer(lambda *access: seen.append(access))
+        return memory, mpu, seen
+
+    @staticmethod
+    def _outcome(call, address):
+        try:
+            return call(address)
+        except (MemoryAccessError, MpuViolationError) as error:
+            return (type(error).__name__, str(error))
+
+    def test_fetch_equals_an_execute_read(self, monkeypatch):
+        for supervisor, mpu_on in ((False, True), (True, True),
+                                   (False, False)):
+            fetching, fetch_mpu, fetch_seen = self._machine(mpu_on)
+            reading, read_mpu, read_seen = self._machine(mpu_on)
+            for address in range(0x10000):
+                with fetching.supervisor() if supervisor \
+                        else nullcontext():
+                    fetched = self._outcome(fetching.fetch_word,
+                                            address)
+                with reading.supervisor() if supervisor \
+                        else nullcontext():
+                    read = self._outcome(
+                        lambda a: reading.read_word(a, kind=EXECUTE),
+                        address)
+                assert fetched == read, hex(address)
+                assert (fetch_mpu.violation_address,
+                        fetch_mpu.violation_kind) == \
+                    (read_mpu.violation_address, read_mpu.violation_kind)
+            assert fetch_seen == read_seen
+            assert supervisor or not mpu_on or \
+                fetch_mpu.violation_address == 0x8FFE
+            assert fetching.fetch_word(0x4410) == 0xBEEF
+
+        calls = []
+        real = Memory.read_word
+
+        def counted(self, *args, **kw):
+            calls.append(args)
+            return real(self, *args, **kw)
+
+        monkeypatch.setattr(Memory, "read_word", counted)
+        fetching, _mpu, _seen = self._machine()
+        fetching.fetch_word(0x4400)
+        assert calls == []
 
 
 class TestSupervisorAccess:
